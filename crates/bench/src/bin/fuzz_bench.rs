@@ -54,8 +54,9 @@
 //!   coverage, corpus and grant accounting (exact-compared by the
 //!   gate) and the starved tenant's cut boundary;
 //! * the flight recorder (`trace`): the deep-chain exchange-on
-//!   campaign with per-exec tracing on (the default ring of 32) vs
-//!   off, best-of-3 wall clock on both sides → `capture_overhead_pct`
+//!   campaign with the recorder on (the default ring of 32; streams
+//!   rebuilt by re-execution at read points) vs off, best-of-3 wall
+//!   clock on both sides → `capture_overhead_pct`
 //!   (gated); the retained trace volume as amortized bits per
 //!   campaign exec (gated at 16), mean encoded bits per traced exec,
 //!   and bits per retired block (the cbp reference point is 0.1–1.2

@@ -143,10 +143,11 @@ pub(crate) struct ShardState {
     pub(crate) fuel_exhausted: u64,
     /// Flight recorder, when the campaign runs traced
     /// ([`CampaignConfig::trace_ring`] > 0 under the sharded driver).
-    /// `None` leaves the exec path one never-taken branch per cover
-    /// call. Not part of the snapshot: the sharded driver re-attaches
-    /// tracers on restore and carries the stores in the checkpoint's
-    /// own trace section.
+    /// Either way the exec scratch's trace log stays disabled — the
+    /// recorder notes programs and rebuilds streams by re-execution
+    /// at read points. Not part of the snapshot: the sharded driver
+    /// re-attaches tracers on restore and carries the stores in the
+    /// checkpoint's own trace section.
     tracer: Option<crate::flight::ShardTracer>,
 }
 
@@ -211,15 +212,24 @@ impl ShardState {
         }
     }
 
-    /// Attach a flight recorder and switch the VM's trace log on.
+    /// Attach a flight recorder. The VM's trace log stays off: the
+    /// recorder rebuilds streams by re-execution at read points.
     pub(crate) fn attach_tracer(&mut self, tracer: crate::flight::ShardTracer) {
-        self.scratch.state.trace_mut().set_enabled(true);
         self.tracer = Some(tracer);
     }
 
-    /// Clone of the attached recorder (with its retained traces), for
+    /// Rebuild the attached recorder's pending traces (a read point;
+    /// see [`crate::flight`]). No-op when the shard runs untraced.
+    pub(crate) fn rebuild_traces(&mut self, kernel: &VKernel) {
+        if let Some(t) = &mut self.tracer {
+            t.rebuild(kernel);
+        }
+    }
+
+    /// Clone of the attached recorder with its traces rebuilt, for
     /// the fault-injection driver's pre-abort snapshots.
-    pub(crate) fn clone_tracer(&self) -> Option<crate::flight::ShardTracer> {
+    pub(crate) fn clone_tracer(&mut self, kernel: &VKernel) -> Option<crate::flight::ShardTracer> {
+        self.rebuild_traces(kernel);
         self.tracer.clone()
     }
 
@@ -231,19 +241,19 @@ impl ShardState {
         }
     }
 
-    /// The shard id and serialized trace store, when traced — what
-    /// the checkpoint layer persists per shard.
-    pub(crate) fn trace_store_bytes(&self) -> Option<(u32, Vec<u8>)> {
+    /// The shard id and serialized trace store (rebuilt first), when
+    /// traced — what the checkpoint layer persists per shard.
+    pub(crate) fn trace_store_bytes(&mut self, kernel: &VKernel) -> Option<(u32, Vec<u8>)> {
+        let id = self.id;
         self.tracer
-            .as_ref()
-            .map(|t| (self.id, t.store().to_bytes()))
+            .as_mut()
+            .map(|t| (id, t.store(kernel).to_bytes()))
     }
 
-    /// Detach the recorder, surrendering the shard's retained traces.
-    pub(crate) fn take_store(&mut self) -> Option<kgpt_trace::TraceStore> {
-        self.tracer
-            .take()
-            .map(crate::flight::ShardTracer::into_store)
+    /// Detach the recorder, surrendering the shard's retained traces
+    /// (rebuilt first).
+    pub(crate) fn take_store(&mut self, kernel: &VKernel) -> Option<kgpt_trace::TraceStore> {
+        self.tracer.take().map(|t| t.into_store(kernel))
     }
 
     /// Serializable projection of this shard's live state (see
@@ -592,6 +602,24 @@ mod tests {
             );
             assert!(e.minimized.len() <= e.raw.len());
         }
+    }
+
+    #[test]
+    fn traced_shards_fuzz_with_the_trace_log_off() {
+        let (kernel, suite, consts) = dm_setup();
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let mut state = ShardState::new(&lowered, &cfg(300, 2), 0, 300, 2);
+        let table = Arc::new(crate::flight::cfg_successors(&kernel));
+        state.attach_tracer(crate::flight::ShardTracer::new(table, lowered, 0, 0, 8));
+        state.run_epoch(&kernel, 300);
+        assert!(!state.scratch.state.trace().enabled());
+        assert!(state.scratch.state.trace().events().is_empty());
+        // The streams come from re-execution at the read point.
+        let store = state.take_store(&kernel).unwrap();
+        assert_eq!(store.execs_seen(), 300);
+        assert_eq!(store.ring().count(), 8);
+        assert!(store.iter().all(|t| t.stream_bits > 4), "empty streams");
     }
 
     #[test]

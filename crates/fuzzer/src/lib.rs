@@ -52,7 +52,9 @@
 //!   leases, transports, framing);
 //! * [`flight`] — the flight recorder: per-shard capture of compact
 //!   delta-coded exec traces ([`kgpt_trace`]) during sharded
-//!   campaigns, pinned crash traces that survive checkpoints, and
+//!   campaigns — by re-executing the retained execs at read points,
+//!   never on the exec path — pinned crash traces that survive
+//!   checkpoints, and
 //!   [`flight::replay_trace`] — deterministic time-travel replay of
 //!   any recorded exec, cross-checked byte-for-byte against its
 //!   recorded block stream;

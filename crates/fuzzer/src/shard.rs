@@ -237,7 +237,9 @@ impl<'a> ShardedCampaign<'a> {
     /// per-shard [`TraceStore`]s in shard-id order (empty when
     /// [`CampaignConfig::trace_ring`] is 0). Like the result, the
     /// stores are a pure function of `(config, shards)`: the thread
-    /// count never changes a recorded byte.
+    /// count never changes a recorded byte. Shards fuzz with tracing
+    /// off; the retained traces are rebuilt by re-execution at
+    /// checkpoints and at the end (see [`crate::flight`]).
     #[must_use]
     pub fn run_traced(&self) -> (CampaignResult, Vec<TraceStore>) {
         let mut states: Vec<ShardState> = (0..self.shards)
@@ -273,6 +275,7 @@ impl<'a> ShardedCampaign<'a> {
         for state in states.iter_mut() {
             state.attach_tracer(ShardTracer::new(
                 Arc::clone(&cfg),
+                Arc::clone(&self.lowered),
                 spec_fp,
                 state.id,
                 self.config.trace_ring,
@@ -389,10 +392,10 @@ impl<'a> ShardedCampaign<'a> {
             let abort = self.faults.shard_abort(iter);
             let pre_abort = abort.and_then(|sid| {
                 states
-                    .get(sid as usize)
-                    .map(|s| (s.snapshot(), s.clone_tracer()))
+                    .get_mut(sid as usize)
+                    .map(|s| (s.snapshot(), s.clone_tracer(self.kernel)))
             });
-            self.run_chunk(&mut states, threads, epoch);
+            for_each_shard(&mut states, threads, |s| s.run_epoch(self.kernel, epoch));
             if let (Some(sid), Some((snap, tracer))) = (abort, pre_abort) {
                 // The shard died mid-epoch: discard its (by assumption
                 // poisoned) state, restore the boundary snapshot, and
@@ -400,10 +403,10 @@ impl<'a> ShardedCampaign<'a> {
                 // Shard evolution is schedule-independent, so the
                 // re-run is bit-identical to the undisturbed epoch and
                 // the merge proceeds with no quarantine hole. The
-                // flight recorder gets the same treatment: the
-                // boundary clone replaces the poisoned store before
-                // the re-run, so retained traces stay bit-identical
-                // to an undisturbed campaign too.
+                // flight recorder gets the same treatment: its clone,
+                // rebuilt at the boundary, replaces the poisoned
+                // recorder before the re-run, so retained traces stay
+                // bit-identical to an undisturbed campaign too.
                 let idx = sid as usize;
                 states[idx] = ShardState::restore(&self.lowered, &self.config, &snap);
                 if let Some(t) = tracer {
@@ -428,6 +431,11 @@ impl<'a> ShardedCampaign<'a> {
             // the loop-top state of the next iteration, so resume
             // re-enters here with nothing replayed and nothing lost.
             if let Some(path) = &self.checkpoint {
+                for_each_shard(&mut states, threads, |s| s.rebuild_traces(self.kernel));
+                let traces = states
+                    .iter_mut()
+                    .filter_map(|s| s.trace_store_bytes(self.kernel))
+                    .collect();
                 let snap = CampaignSnapshot::capture(
                     self.config_fp(),
                     self.spec_fp(),
@@ -435,10 +443,7 @@ impl<'a> ShardedCampaign<'a> {
                     states.iter().map(ShardState::snapshot).collect(),
                     &hub,
                     &triage,
-                    states
-                        .iter()
-                        .filter_map(ShardState::trace_store_bytes)
-                        .collect(),
+                    traces,
                 );
                 if self.write_checkpoint(&snap, path, iter) {
                     checkpoints_written += 1;
@@ -449,12 +454,12 @@ impl<'a> ShardedCampaign<'a> {
                         // Simulated interrupt: return the partial
                         // merge (tests discard it and resume from the
                         // snapshot just written).
-                        return self.merge(states, triage);
+                        return self.merge(states, triage, threads);
                     }
                 }
             }
         }
-        self.merge(states, triage)
+        self.merge(states, triage, threads)
     }
 
     /// Write one checkpoint with the fault plan applied: injected (or
@@ -485,15 +490,18 @@ impl<'a> ShardedCampaign<'a> {
     /// Merge finished (or halted) shard states in shard-id order
     /// (deterministic; the merge is also commutative, so any order
     /// would produce the same set). The flight recorder's stores come
-    /// back alongside, also in shard-id order.
+    /// back alongside, also in shard-id order, rebuilt on the worker
+    /// threads first.
     fn merge(
         &self,
         mut states: Vec<ShardState>,
         triage: TriageReport,
+        threads: usize,
     ) -> (CampaignResult, Vec<TraceStore>) {
+        for_each_shard(&mut states, threads, |s| s.rebuild_traces(self.kernel));
         let stores: Vec<TraceStore> = states
             .iter_mut()
-            .filter_map(ShardState::take_store)
+            .filter_map(|s| s.take_store(self.kernel))
             .collect();
         let mut coverage = CoverageMap::new();
         let mut crashes: CrashTally = CrashTally::new();
@@ -520,36 +528,31 @@ impl<'a> ShardedCampaign<'a> {
             stores,
         )
     }
+}
 
-    /// Advance every shard by up to `epoch` executions, distributing
-    /// shards over the worker threads. A barrier: returns only when
-    /// all shards reached the boundary. Each shard is advanced by
-    /// exactly one worker, so the per-shard state evolution is
-    /// schedule-independent.
-    fn run_chunk(&self, states: &mut [ShardState], threads: usize, epoch: u64) {
-        if threads <= 1 {
-            for state in states.iter_mut() {
-                state.run_epoch(self.kernel, epoch);
-            }
-            return;
-        }
-        let slots: Vec<Mutex<&mut ShardState>> = states.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    slots[i]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .run_epoch(self.kernel, epoch);
-                });
-            }
-        });
+/// Apply `f` — one epoch, or a flight-recorder rebuild — to every
+/// shard, distributing shards over the worker threads. A barrier:
+/// returns only when all shards are done. Each shard is visited by
+/// exactly one worker, so the per-shard state evolution is
+/// schedule-independent.
+fn for_each_shard(states: &mut [ShardState], threads: usize, f: impl Fn(&mut ShardState) + Sync) {
+    if threads <= 1 {
+        states.iter_mut().for_each(f);
+        return;
     }
+    let slots: Vec<Mutex<&mut ShardState>> = states.iter_mut().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= slots.len() {
+                    break;
+                }
+                f(&mut slots[i].lock().expect("shard slot poisoned"));
+            });
+        }
+    });
 }
 
 /// Damage an installed snapshot in place (fault injection only):

@@ -1,24 +1,31 @@
 //! # kgpt-trace — the flight recorder
 //!
 //! Compact per-exec trace capture and offline storage: every
-//! execution a campaign shard runs can leave behind a self-contained
-//! [`ExecTrace`] — small enough (tens of bytes of stream per exec,
-//! see the `trace` section of `fuzz_bench`) that recording stays on
-//! during campaigns — from which the deterministic replayer in
+//! execution a campaign shard retains is a self-contained
+//! [`ExecTrace`] — tens of bytes of stream, see the `trace` section of
+//! `fuzz_bench` — from which the deterministic replayer in
 //! `kgpt-fuzzer` re-executes the exec bit-identically and
 //! cross-checks the recorded block stream against the live run.
+//! Recording stays on during campaigns because streams are only ever
+//! produced for the traces a store keeps (see layer 1).
 //!
 //! ## Protocol overview
 //!
 //! The recorder is layered; each layer is independently testable and
 //! strictly validated on the way back in:
 //!
-//! 1. **Event capture** (`kgpt-vkernel`): with tracing enabled, the
+//! 1. **Event capture by re-execution** (`kgpt-vkernel`, driven by
+//!    `kgpt-fuzzer`'s flight recorder): with tracing enabled, the
 //!    kernel's exec path appends [`TraceEvent`]s to the per-VM
 //!    [`kgpt_vkernel::TraceLog`] — merged `Block {start, len}` runs
 //!    for every coverage retirement, executor-injected `Call {index}`
 //!    markers at syscall boundaries, and a `Crash {site}` marker when
-//!    a sanitizer fires. Capture never changes execution results.
+//!    a sanitizer fires. Campaigns fuzz with tracing *off*: per exec
+//!    the recorder keeps only the encoded program and header words of
+//!    the execs a store could still retain, and at read points
+//!    (checkpoint, end of run) re-executes those with tracing on — the
+//!    replay contract below makes the events identical to the
+//!    original run's. Capture never changes execution results.
 //!
 //! 2. **Delta coding** ([`encode_events`]/[`decode_events`]): the
 //!    event list is bit-packed against a static prediction table
@@ -68,9 +75,11 @@
 //! booted kernel with the same fuel limit reproduces the recorded
 //! event stream bit-for-bit — the campaign loop is deterministic and
 //! an exec's events depend only on (program, kernel, fuel). The
-//! replayer (`kgpt-fuzzer`'s `flight` module) re-encodes the live
-//! events with the same table and demands byte equality plus matching
-//! crash signatures.
+//! recorder itself relies on this: every stored stream *is* such a
+//! re-execution, checked against the crash and fuel verdicts of the
+//! original run. The replayer (`kgpt-fuzzer`'s `flight` module)
+//! re-encodes the live events with the same table and demands byte
+//! equality plus matching crash signatures.
 
 use kgpt_syzlang::lowered::CfgSuccessors;
 use kgpt_syzlang::prog::Program;
@@ -578,6 +587,15 @@ impl TraceStore {
             self.ring.pop_front();
         }
         self.ring.push_back(trace);
+    }
+
+    /// Count `n` executions that were never handed to
+    /// [`TraceStore::record`] because recording them would have
+    /// changed nothing: non-crash execs a later ring turnover would
+    /// evict anyway, and crashes whose signature is already pinned.
+    /// Leaves the store as if they had been recorded.
+    pub fn note_unrecorded(&mut self, n: u64) {
+        self.execs_seen += n;
     }
 
     /// The ring of retained non-crash traces, oldest first.

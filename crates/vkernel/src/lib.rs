@@ -350,6 +350,9 @@ pub enum TraceEvent {
 /// tracing is enabled — a plain event buffer; compact encoding is the
 /// flight recorder's job (`kgpt-trace`), not the hot path's.
 ///
+/// Fuzzing campaigns keep it disabled: the flight recorder captures
+/// by re-execution, switching it on only on a separate scratch while
+/// it rebuilds the few traces a store retains, and during replay.
 /// Disabled (the default) it costs the exec path one predictable
 /// branch per coverage retirement, in keeping with the dense-dispatch
 /// convention. The enabled flag survives [`VmState::reset`] — like

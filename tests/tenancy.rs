@@ -112,6 +112,10 @@ fn run_service(
         }
         let mut spawned = 0usize;
         let mut held_flap: Option<u64> = None;
+        // Threads spawned so far: flap outcomes are keyed by it, since
+        // a flap drops its transport before it reports, which can let
+        // the next flap's outcome land first.
+        let mut spawn_index = 0usize;
         let mut accept = || -> Option<Box<dyn Transport>> {
             let gate_open = boundary_seen.load(Ordering::SeqCst) > 0;
             let spawn = if gate_open && held_flap.is_some() {
@@ -138,6 +142,8 @@ fn run_service(
             let summaries = &summaries;
             let flaps = &flaps;
             let boundary_seen = Arc::clone(&boundary_seen);
+            let index = spawn_index;
+            spawn_index += 1;
             scope.spawn(move || match spawn {
                 Spawn::Worker(plan) => {
                     let opts = WorkerOpts {
@@ -157,18 +163,20 @@ fn run_service(
                 Spawn::Flap(worker_id) | Spawn::FlapAfterBoundary(worker_id) => {
                     let outcome =
                         flap_worker(Box::new(worker_end), worker_id, Duration::from_secs(10));
-                    flaps.lock().unwrap().push(outcome);
+                    flaps.lock().unwrap().push((index, outcome));
                 }
             });
             Some(Box::new(service_end))
         };
         service.run(&mut accept).expect("service")
     });
+    let mut flaps = flaps.into_inner().unwrap();
+    flaps.sort_by_key(|&(index, _)| index);
     (
         results,
         stats,
         summaries.into_inner().unwrap(),
-        flaps.into_inner().unwrap(),
+        flaps.into_iter().map(|(_, outcome)| outcome).collect(),
     )
 }
 
