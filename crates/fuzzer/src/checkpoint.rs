@@ -776,12 +776,10 @@ mod tests {
     }
 
     fn prog(sys: u32) -> Program {
-        Program {
-            calls: vec![ProgCall {
-                sys,
-                args: vec![Value::Int(7), Value::Bytes(vec![1, 2, 3])],
-            }],
-        }
+        Program::from_calls(&[ProgCall {
+            sys,
+            args: vec![Value::Int(7), Value::Bytes(vec![1, 2, 3])],
+        }])
     }
 
     fn sig(site: u64) -> CrashSignature {

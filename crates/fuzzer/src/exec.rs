@@ -2,9 +2,11 @@
 //!
 //! The hot entry point is [`execute_with`], which runs a program
 //! against caller-owned [`ExecScratch`] — VM state, encoder, memory
-//! image and return-value buffer are all reused across executions, so
-//! a campaign's steady-state loop performs no per-program heap
-//! allocation beyond what the generated values themselves own.
+//! image and return-value buffer are all reused across executions,
+//! and arguments are encoded straight from the program's flat nodes,
+//! so a campaign's steady-state exec performs no per-program heap
+//! allocation of its own (the kernel may still allocate, e.g. to read
+//! a path string).
 //!
 //! The scratch is built over a shared
 //! [`kgpt_syzlang::lowered::LoweredDb`]: argument encoding walks the
@@ -136,7 +138,7 @@ pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch)
     let lowered: &LoweredDb = lowered;
     state.reset();
     rets.clear();
-    for (call_index, call) in prog.calls.iter().enumerate() {
+    for (call_index, call) in prog.calls().enumerate() {
         if state.crash.is_some() {
             rets.push(-kgpt_vkernel::errno::EFAULT);
             continue;
@@ -148,7 +150,7 @@ pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch)
             rets.push(-kgpt_vkernel::errno::ENOMEM);
             continue;
         }
-        let sys = lowered.syscall(call.sys as usize);
+        let sys = lowered.syscall(call.sys() as usize);
         // Restart the encoder's address space; any segments still in
         // it (from an aborted encode) are recycled into its pool.
         enc.reset();
@@ -162,7 +164,7 @@ pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch)
                     _ => r.fallback,
                 }
             };
-            for (i, (param, value)) in sys.params.iter().zip(&call.args).enumerate() {
+            for (i, (param, value)) in sys.params.iter().zip(call.args()).enumerate() {
                 if i >= 6 {
                     break;
                 }
@@ -206,7 +208,7 @@ pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch)
         // so the trace's call indices name exactly the calls that
         // reached the kernel. One branch when tracing is off.
         state.trace_mut().call(call_index as u32);
-        let ret = kernel.exec_call(state, sysno[call.sys as usize], &regs, mem);
+        let ret = kernel.exec_call(state, sysno[call.sys() as usize], &regs, mem);
         rets.push(ret);
     }
 }

@@ -741,12 +741,10 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
         let mut words = vec![0u64; word + 1];
         words[word] = bit;
         CorpusEntry {
-            program: Program {
-                calls: vec![crate::program::ProgCall {
-                    sys,
-                    args: Vec::new(),
-                }],
-            },
+            program: Program::from_calls(&[crate::program::ProgCall {
+                sys,
+                args: Vec::new(),
+            }]),
             contributed: CoverageMap::from_words(words),
             execs,
             hits,

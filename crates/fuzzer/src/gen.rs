@@ -9,12 +9,13 @@
 //! bit-for-bit the same; `tests/properties.rs` and the `lowering`
 //! section of `fuzz_bench` pin that equivalence.
 
-use crate::program::{ProgCall, Program};
+use crate::program::Program;
 use crate::reference::INTERESTING;
 use kgpt_syzlang::ast::ArrayLen;
-use kgpt_syzlang::lowered::{LType, LoweredDb};
+use kgpt_syzlang::lowered::{LType, LoweredDb, ResourceId, TypeId};
+use kgpt_syzlang::prog::ProgBuf;
 use kgpt_syzlang::value::ResRef;
-use kgpt_syzlang::{ConstDb, SpecDb, Value};
+use kgpt_syzlang::{ConstDb, SpecDb};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
@@ -26,6 +27,12 @@ pub struct Generator {
     rng: StdRng,
     /// Enabled syscalls as dense database indices.
     enabled: Vec<u32>,
+    /// Scratch arena new nodes are written into before an
+    /// exact-capacity [`Program`] is emitted: reused, so at steady
+    /// state generation allocates only the program it returns.
+    buf: ProgBuf,
+    /// Syscall index of every call visible to producer lookups.
+    sys: Vec<u32>,
 }
 
 impl Generator {
@@ -45,6 +52,8 @@ impl Generator {
             lowered,
             rng: StdRng::seed_from_u64(seed),
             enabled,
+            buf: ProgBuf::default(),
+            sys: Vec::new(),
         }
     }
 
@@ -91,28 +100,32 @@ impl Generator {
             lowered,
             rng,
             enabled,
+            buf,
+            sys,
         } = self;
-        let mut prog = Program::default();
+        buf.clear();
+        sys.clear();
         let want = rng.random_range(1..=max_len.max(1));
         for _ in 0..want {
             if enabled.is_empty() {
                 break;
             }
             let pick = enabled[rng.random_range(0..enabled.len())];
-            append_call(lowered, rng, &mut prog, pick, 0);
-            if prog.len() >= max_len {
+            append_call(lowered, rng, buf, sys, pick, 0);
+            if sys.len() >= max_len {
                 break;
             }
         }
-        prog
+        buf.to_program()
     }
 
     /// Mutate a program: regenerate an argument, append a call, or
-    /// truncate. Returns a fresh program (input untouched), cloning
-    /// only what the result keeps: the truncate arm copies the kept
-    /// prefix, and the regenerate arm never clones the value tree it
-    /// replaces. Output and draws are bit-identical to the deep-clone
-    /// [`crate::reference::AstGenerator::mutate`].
+    /// truncate. Returns a fresh program (input untouched), built in
+    /// one exact-capacity allocation: the regenerate arm splices the
+    /// new argument's nodes over the old argument's range, the append
+    /// arm concatenates the new calls, the truncate arm copies the
+    /// kept prefix. Output and draws are bit-identical to the
+    /// deep-clone [`crate::reference::AstGenerator::mutate`].
     pub fn mutate(&mut self, prog: &Program, max_len: usize) -> Program {
         if prog.is_empty() {
             return self.gen_program(max_len);
@@ -121,132 +134,106 @@ impl Generator {
             lowered,
             rng,
             enabled,
+            buf,
+            sys,
         } = self;
+        buf.clear();
+        sys.clear();
+        let n_calls = prog.len();
         match rng.random_range(0..10u32) {
             // Regenerate one argument of one call.
             0..=5 => {
-                let ci = rng.random_range(0..prog.calls.len());
-                let n_args = prog.calls[ci].args.len();
-                let mut fresh = if n_args > 0 {
-                    let ai = rng.random_range(0..n_args);
-                    let ty = lowered.syscall(prog.calls[ci].sys as usize).params[ai].ty;
-                    // Generation only reads calls before `ci`, which the
-                    // output shares with the input — so drawing against
-                    // the input is identical to drawing against a clone.
-                    Some((ai, gen_value(lowered, rng, ty, prog, ci, 0)))
-                } else {
-                    None
-                };
-                let calls = prog
-                    .calls
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| match &mut fresh {
-                        Some((ai, v)) if i == ci => ProgCall {
-                            sys: c.sys,
-                            args: c
-                                .args
-                                .iter()
-                                .enumerate()
-                                .map(|(j, a)| {
-                                    if j == *ai {
-                                        std::mem::take(v)
-                                    } else {
-                                        a.clone()
-                                    }
-                                })
-                                .collect(),
-                        },
-                        _ => c.clone(),
-                    })
-                    .collect();
-                Program { calls }
+                let ci = rng.random_range(0..n_calls);
+                let call = prog.call(ci);
+                let n_args = call.arg_count();
+                if n_args == 0 {
+                    return prog.clone();
+                }
+                let ai = rng.random_range(0..n_args);
+                let ty = lowered.syscall(call.sys() as usize).params[ai].ty;
+                // Generation only reads the calls before `ci`.
+                sys.extend(prog.calls().take(ci).map(|c| c.sys()));
+                gen_value(lowered, rng, ty, buf, sys, 0);
+                prog.with_arg(ci, ai, buf)
             }
             // Append a random enabled call.
             6..=8 => {
-                let mut p = prog.clone();
-                if !enabled.is_empty() && p.len() < max_len {
-                    let pick = enabled[rng.random_range(0..enabled.len())];
-                    append_call(lowered, rng, &mut p, pick, 0);
+                if enabled.is_empty() || n_calls >= max_len {
+                    return prog.clone();
                 }
-                p
+                sys.extend(prog.calls().map(|c| c.sys()));
+                let pick = enabled[rng.random_range(0..enabled.len())];
+                append_call(lowered, rng, buf, sys, pick, 0);
+                prog.with_calls(buf)
             }
-            // Truncate: clone only the kept prefix.
+            // Truncate: copy only the kept prefix.
             _ => {
-                let keep = rng.random_range(1..=prog.calls.len());
-                Program {
-                    calls: prog.calls[..keep].to_vec(),
-                }
+                let keep = rng.random_range(1..=n_calls);
+                prog.prefix(keep)
             }
         }
     }
 }
 
-/// Index of the most recent call in `prog.calls[..upto]` whose return
-/// value produces `res` — a dense-id compare per call, where the AST
-/// walk compared name strings.
-fn find_producer(
-    lowered: &LoweredDb,
-    prog: &Program,
-    upto: usize,
-    res: kgpt_syzlang::lowered::ResourceId,
-) -> Option<usize> {
-    prog.calls[..upto.min(prog.len())]
+/// Index of the most recent call in `calls` whose return value
+/// produces `res` — a dense-id compare per call, where the AST walk
+/// compared name strings.
+fn find_producer(lowered: &LoweredDb, calls: &[u32], res: ResourceId) -> Option<usize> {
+    calls
         .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, c)| lowered.syscall(c.sys as usize).ret_resource == Some(res))
-        .map(|(i, _)| i)
+        .rposition(|&c| lowered.syscall(c as usize).ret_resource == Some(res))
 }
 
-/// Append a call (prepending producers for its resources).
+/// Append a call to `out` (prepending producers for its resources);
+/// `sys` lists every call before it and gains the appended ones.
 fn append_call(
     lowered: &LoweredDb,
     rng: &mut StdRng,
-    prog: &mut Program,
+    out: &mut ProgBuf,
+    sys: &mut Vec<u32>,
     sys_idx: u32,
     depth: usize,
-) -> Option<usize> {
-    if depth > 6 || prog.len() > 24 {
-        return None;
+) {
+    if depth > 6 || sys.len() > 24 {
+        return;
     }
-    let sys = lowered.syscall(sys_idx as usize);
+    let call = lowered.syscall(sys_idx as usize);
     // Satisfy consumed resources.
-    for p in &sys.params {
+    for p in &call.params {
         if let LType::Resource { res } = lowered.ltype(p.ty) {
-            if find_producer(lowered, prog, prog.len(), res).is_none() {
+            if find_producer(lowered, sys, res).is_none() {
                 if let Some(pick) = lowered
                     .lresource(res)
                     .producer_list()
                     .and_then(|list| list.choose(rng))
                     .copied()
                 {
-                    append_call(lowered, rng, prog, pick, depth + 1);
+                    append_call(lowered, rng, out, sys, pick, depth + 1);
                 }
             }
         }
     }
-    let args = sys
-        .params
-        .iter()
-        .map(|p| gen_value(lowered, rng, p.ty, prog, prog.len(), 0))
-        .collect();
-    prog.calls.push(ProgCall { sys: sys_idx, args });
-    Some(prog.len() - 1)
+    let open = out.open_call(sys_idx, call.params.len());
+    for p in &call.params {
+        gen_value(lowered, rng, p.ty, out, sys, 0);
+    }
+    out.close(open);
+    sys.push(sys_idx);
 }
 
-/// Generate a value for a lowered type, resolving resource references
-/// against the first `upto` calls of `prog`.
+/// Write a value for a lowered type to `out`, resolving resource
+/// references against `calls`.
 fn gen_value(
     lowered: &LoweredDb,
     rng: &mut StdRng,
-    ty: kgpt_syzlang::lowered::TypeId,
-    prog: &Program,
-    upto: usize,
+    ty: TypeId,
+    out: &mut ProgBuf,
+    calls: &[u32],
     depth: usize,
-) -> Value {
+) {
     if depth > 12 {
-        return Value::Int(0);
+        out.push_int(0);
+        return;
     }
     match lowered.ltype(ty) {
         LType::Int { bits, range } => {
@@ -262,9 +249,9 @@ fn gen_value(
                 }
                 _ => gen_int(rng),
             };
-            Value::Int(bits.truncate(v))
+            out.push_int(bits.truncate(v));
         }
-        LType::Const { .. } => Value::Int(0), // encoder substitutes
+        LType::Const { .. } => out.push_int(0), // encoder substitutes
         LType::Flags { values, bits } => {
             let members = lowered.flag_values(values);
             let mut acc = 0u64;
@@ -276,21 +263,22 @@ fn gen_value(
             if members.is_empty() || rng.random_bool(0.05) {
                 acc = gen_int(rng);
             }
-            Value::Int(bits.truncate(acc))
+            out.push_int(bits.truncate(acc));
         }
         LType::StringLit { strs } => {
             let s = lowered
                 .strings(strs)
                 .choose(rng)
-                .cloned()
-                .unwrap_or_default();
-            Value::Bytes(s)
+                .map_or(&[][..], Vec::as_slice);
+            out.push_bytes(s);
         }
         LType::Ptr { elem, .. } => {
             if rng.random_bool(0.03) {
-                Value::Ptr { pointee: None }
+                out.push_null_ptr();
             } else {
-                Value::ptr_to(gen_value(lowered, rng, elem, prog, upto, depth + 1))
+                let open = out.open_ptr();
+                gen_value(lowered, rng, elem, out, calls, depth + 1);
+                out.close(open);
             }
         }
         LType::Array {
@@ -317,23 +305,24 @@ fn gen_value(
                 },
             };
             // Byte arrays as raw buffers (cheaper, and what the
-            // kernel decodes anyway).
+            // kernel decodes anyway), one draw per byte.
             if byte_elem {
-                let mut bytes = vec![0u8; n as usize];
-                for b in &mut bytes {
-                    *b = rng.random_range(0..=255u32) as u8;
-                }
-                return Value::Bytes(bytes);
+                out.push_bytes_with(n as usize, |bytes| {
+                    for b in bytes {
+                        *b = rng.random_range(0..=255u32) as u8;
+                    }
+                });
+                return;
             }
-            let mut vs = Vec::with_capacity(n as usize);
+            let open = out.open_group(n as usize);
             for _ in 0..n {
-                vs.push(gen_value(lowered, rng, elem, prog, upto, depth + 1));
+                gen_value(lowered, rng, elem, out, calls, depth + 1);
             }
-            Value::Group(vs)
+            out.close(open);
         }
-        LType::Len { .. } | LType::Bytesize { .. } => Value::Int(0), // auto-filled
-        LType::Resource { res } => Value::Res(ResRef {
-            producer: find_producer(lowered, prog, upto, res),
+        LType::Len { .. } | LType::Bytesize { .. } => out.push_int(0), // auto-filled
+        LType::Resource { res } => out.push_res(ResRef {
+            producer: find_producer(lowered, calls, res),
             // Dangling references land on small fds/ids sometimes.
             fallback: if rng.random_bool(0.5) {
                 rng.random_range(0..6)
@@ -345,27 +334,26 @@ fn gen_value(
             let def = lowered.lstruct(id);
             if def.is_union {
                 let arm = rng.random_range(0..def.fields.len().max(1));
-                let v = def
-                    .fields
-                    .get(arm)
-                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1))
-                    .unwrap_or(Value::Int(0));
-                Value::Union {
-                    arm,
-                    value: Box::new(v),
+                let open = out.open_union(arm);
+                match def.fields.get(arm) {
+                    Some(f) => gen_value(lowered, rng, f.ty, out, calls, depth + 1),
+                    None => out.push_int(0),
                 }
+                out.close(open);
             } else {
-                let vs = def
-                    .fields
-                    .iter()
-                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1))
-                    .collect();
-                Value::Group(vs)
+                let open = out.open_group(def.fields.len());
+                for f in &def.fields {
+                    gen_value(lowered, rng, f.ty, out, calls, depth + 1);
+                }
+                out.close(open);
             }
         }
-        LType::UnknownNamed { .. } => Value::Int(0),
-        LType::Proc { start, per, .. } => Value::Int(start + per),
-        LType::Void => Value::Group(Vec::new()),
+        LType::UnknownNamed { .. } => out.push_int(0),
+        LType::Proc { start, per, .. } => out.push_int(start + per),
+        LType::Void => {
+            let open = out.open_group(0);
+            out.close(open);
+        }
     }
 }
 
@@ -377,20 +365,12 @@ fn gen_int(rng: &mut StdRng) -> u64 {
     }
 }
 
-/// Direction of the pointer a value sits behind (needed by tests).
-#[must_use]
-pub fn top_dir(ty: &kgpt_syzlang::Type) -> kgpt_syzlang::Dir {
-    match ty {
-        kgpt_syzlang::Type::Ptr { dir, .. } => *dir,
-        _ => kgpt_syzlang::Dir::In,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::AstGenerator;
     use kgpt_csrc::KernelCorpus;
+    use kgpt_syzlang::Value;
 
     fn dm_db() -> (SpecDb, ConstDb) {
         let kc = KernelCorpus::from_blueprints(vec![kgpt_csrc::flagship::dm()]);
@@ -407,12 +387,13 @@ mod tests {
             let p = g.gen_program(5);
             assert!(!p.is_empty());
             // Any ioctl must be preceded by its openat producer.
-            for (i, c) in p.calls.iter().enumerate() {
+            let calls = p.to_calls();
+            for (i, c) in calls.iter().enumerate() {
                 if c.syscall(&db).base == "ioctl" {
                     for r in c.args.iter().flat_map(Value::res_refs) {
                         if let Some(pi) = r.producer {
                             assert!(pi < i, "producer after consumer");
-                            assert_eq!(p.calls[pi].syscall(&db).base, "openat");
+                            assert_eq!(calls[pi].syscall(&db).base, "openat");
                             saw_dependent = true;
                         }
                     }
@@ -469,7 +450,7 @@ mod tests {
         assert_eq!(g.enabled_count(), 1);
         for _ in 0..10 {
             let p = g.gen_program(3);
-            for c in &p.calls {
+            for c in p.calls() {
                 assert_eq!(c.syscall(&db).name(), "openat$dm");
             }
         }
@@ -483,8 +464,8 @@ mod tests {
         for _ in 0..100 {
             p = g.mutate(&p, 8);
             assert!(p.len() <= 25);
-            for c in &p.calls {
-                assert_eq!(c.args.len(), c.syscall(&db).params.len());
+            for c in p.calls() {
+                assert_eq!(c.arg_count(), c.syscall(&db).params.len());
             }
         }
     }

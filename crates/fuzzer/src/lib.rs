@@ -4,13 +4,16 @@
 //! substitute that consumes syzlang suites and drives the virtual
 //! kernel.
 //!
-//! * [`program`] — syscall sequences with resource-threading;
+//! * [`program`] — syscall sequences with resource-threading, stored
+//!   as one flat pre-order node array (cloned with one memcpy, freed
+//!   with one free, mutated by splicing one argument's range);
 //! * [`gen`] — generation over the compiled
 //!   [`kgpt_syzlang::lowered::LoweredDb`] IR: producers are prepended
 //!   to satisfy resource dependencies, values follow the declared
 //!   types (ranges, flags, strings, lengths auto-filled by the
 //!   encoder) with a small rate of deliberate violations — with no
-//!   name lookup or AST walk per value;
+//!   name lookup or AST walk per value, written straight into a
+//!   reused node arena so a program costs one allocation;
 //! * [`exec`] — lowers a program to registers + memory segments and
 //!   runs it against a [`kgpt_vkernel::VKernel`], reusing per-worker
 //!   [`exec::ExecScratch`] so the hot loop is allocation-free,
@@ -59,7 +62,7 @@
 //!   any recorded exec, cross-checked byte-for-byte against its
 //!   recorded block stream;
 //! * crash triage (internal `triage` module over [`kgpt_triage`]) —
-//!   shards capture the first crashing `ProgCall` stream per
+//!   shards capture the first crashing program per
 //!   [`kgpt_vkernel::CrashSignature`]; the driver ddmin-minimizes new
 //!   signatures at epoch boundaries in shard-id order, so the
 //!   [`campaign::CampaignResult::triage`] report is bit-identical at

@@ -9,6 +9,10 @@
 //! `lowering` section of `fuzz_bench` measures the before/after
 //! throughput and re-asserts bit-identity on every CI run.
 //!
+//! The reference works on owned [`ProgCall`] trees and converts at its
+//! edges ([`Program::from_calls`] out, [`Program::to_calls`] in), so
+//! it shares nothing with the flat node layout it is checking.
+//!
 //! Nothing here runs on a campaign's hot path.
 
 use crate::exec::ExecResult;
@@ -97,7 +101,11 @@ impl<'a> AstGenerator<'a> {
 
     /// Generate a fresh program of at most `max_len` calls.
     pub fn gen_program(&mut self, max_len: usize) -> Program {
-        let mut prog = Program::default();
+        Program::from_calls(&self.gen_calls(max_len))
+    }
+
+    fn gen_calls(&mut self, max_len: usize) -> Vec<ProgCall> {
+        let mut prog = Vec::new();
         let want = self.rng.random_range(1..=max_len.max(1));
         for _ in 0..want {
             if self.enabled.is_empty() {
@@ -112,9 +120,9 @@ impl<'a> AstGenerator<'a> {
         prog
     }
 
-    fn find_producer(&self, prog: &Program, upto: usize, resource: &str) -> Option<usize> {
+    fn find_producer(&self, prog: &[ProgCall], upto: usize, resource: &str) -> Option<usize> {
         let db = self.db;
-        prog.calls[..upto.min(prog.len())]
+        prog[..upto.min(prog.len())]
             .iter()
             .enumerate()
             .rev()
@@ -122,7 +130,12 @@ impl<'a> AstGenerator<'a> {
             .map(|(i, _)| i)
     }
 
-    fn append_call(&mut self, prog: &mut Program, sys_idx: u32, depth: usize) -> Option<usize> {
+    fn append_call(
+        &mut self,
+        prog: &mut Vec<ProgCall>,
+        sys_idx: u32,
+        depth: usize,
+    ) -> Option<usize> {
         if depth > 6 || prog.len() > 24 {
             return None;
         }
@@ -147,11 +160,11 @@ impl<'a> AstGenerator<'a> {
             .iter()
             .map(|p| self.gen_value(&p.ty, prog, prog.len(), 0))
             .collect();
-        prog.calls.push(ProgCall { sys: sys_idx, args });
+        prog.push(ProgCall { sys: sys_idx, args });
         Some(prog.len() - 1)
     }
 
-    fn gen_value(&mut self, ty: &Type, prog: &Program, upto: usize, depth: usize) -> Value {
+    fn gen_value(&mut self, ty: &Type, prog: &[ProgCall], upto: usize, depth: usize) -> Value {
         if depth > 12 {
             return Value::Int(0);
         }
@@ -289,19 +302,19 @@ impl<'a> AstGenerator<'a> {
     /// The lowered [`crate::gen::Generator::mutate`] must produce the
     /// same output with the same draws (while cloning less).
     pub fn mutate(&mut self, prog: &Program, max_len: usize) -> Program {
-        let mut p = prog.clone();
+        let mut p = prog.to_calls();
         if p.is_empty() {
             return self.gen_program(max_len);
         }
         match self.rng.random_range(0..10u32) {
             0..=5 => {
-                let ci = self.rng.random_range(0..p.calls.len());
-                let n_args = p.calls[ci].args.len();
+                let ci = self.rng.random_range(0..p.len());
+                let n_args = p[ci].args.len();
                 if n_args > 0 {
                     let ai = self.rng.random_range(0..n_args);
-                    let ty = &self.db.syscall_at(p.calls[ci].sys as usize).params[ai].ty;
+                    let ty = &self.db.syscall_at(p[ci].sys as usize).params[ai].ty;
                     let v = self.gen_value(ty, &p, ci, 0);
-                    p.calls[ci].args[ai] = v;
+                    p[ci].args[ai] = v;
                 }
             }
             6..=8 => {
@@ -311,11 +324,11 @@ impl<'a> AstGenerator<'a> {
                 }
             }
             _ => {
-                let keep = self.rng.random_range(1..=p.calls.len());
+                let keep = self.rng.random_range(1..=p.len());
                 p.truncate(keep);
             }
         }
-        p
+        Program::from_calls(&p)
     }
 }
 
@@ -362,14 +375,14 @@ impl<'a> AstScratch<'a> {
     }
 }
 
-/// The pre-lowering `execute_with`: encodes through the AST-walking
-/// [`MemBuilder`] and resolves the dispatch op from the base-name
-/// string per call.
+/// The pre-lowering `execute_with`: encodes the owned value tree
+/// through the AST-walking [`MemBuilder`] and resolves the dispatch op
+/// from the base-name string per call.
 pub fn ast_execute_with(kernel: &VKernel, prog: &Program, scratch: &mut AstScratch<'_>) {
     scratch.state.reset();
     scratch.rets.clear();
     let db = scratch.db;
-    for call in &prog.calls {
+    for call in &prog.to_calls() {
         if scratch.state.crash.is_some() {
             scratch.rets.push(-kgpt_vkernel::errno::EFAULT);
             continue;

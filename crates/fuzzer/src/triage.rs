@@ -5,7 +5,7 @@
 //!
 //! * **capture** happens inside the shard loop ([`ShardTriage`]): the
 //!   first time a shard observes a [`CrashSignature`], it clones the
-//!   crashing `ProgCall` stream (a cold path — at most once per
+//!   crashing program (a cold path — at most once per
 //!   signature per shard) and counts every further observation;
 //! * **minimization** happens on the driving thread at epoch
 //!   boundaries, draining shards **in shard-id order**

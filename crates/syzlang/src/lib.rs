@@ -24,9 +24,10 @@
 //!   keyed by suite content, so repeated campaign constructions and
 //!   sweep harnesses stop re-parsing identical suites;
 //! * a [`prog`] module with the concrete [`Program`] representation
-//!   (dense syscall indices + argument [`Value`]s) shared by the
-//!   fuzzer's generation/execution loop and the crash-triage
-//!   minimizer;
+//!   (dense syscall indices + argument values in one flat pre-order
+//!   node array, convertible to and from owned [`Value`] trees)
+//!   shared by the fuzzer's generation/execution loop and the
+//!   crash-triage minimizer;
 //! * a [`lowered`] module compiling a `(SpecDb, ConstDb)` pair once
 //!   into a flat, index-interned IR ([`LoweredDb`]) so the fuzzer's
 //!   per-exec generate→encode path is string-free and AST-free (the

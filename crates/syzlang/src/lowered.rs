@@ -44,9 +44,8 @@ use crate::consts::ConstDb;
 use crate::db::{SpecDb, BUILTIN_RESOURCES};
 use crate::layout::{field_offsets, type_layout, Layout, LayoutError};
 use crate::printer::print_type;
-use crate::value::{
-    deref_for_len, deref_value_for_len, push_int, value_kind, EncodeError, Value, ARG_BASE_ADDR,
-};
+use crate::prog::{ValueKind, ValueRef, Values};
+use crate::value::{deref_for_len, push_int, EncodeError, ResRef, ARG_BASE_ADDR};
 use std::collections::BTreeMap;
 
 /// Dense index of a lowered type in the [`LoweredDb`] arena.
@@ -731,6 +730,7 @@ impl LoweredEncoder {
 
     /// Encode one top-level syscall argument, returning the register
     /// value (the scalar itself, or the address of the allocation).
+    /// The value is read in place from its program's flat nodes.
     ///
     /// # Errors
     ///
@@ -740,30 +740,29 @@ impl LoweredEncoder {
         &mut self,
         db: &LoweredDb,
         ty: TypeId,
-        val: &Value,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
+        val: ValueRef<'_>,
+        resolve: &dyn Fn(&ResRef) -> u64,
     ) -> Result<u64, EncodeError> {
+        let env = Env { db, resolve };
         match db.ltype(ty) {
-            LType::Ptr { elem, .. } => match val {
-                Value::Ptr { pointee: None } => Ok(0),
-                Value::Ptr {
-                    pointee: Some(inner),
-                } => self.alloc_pointee(db, elem, inner, resolve),
-                other => Err(mismatch(db, ty, value_kind(other))),
+            LType::Ptr { elem, .. } => match val.kind() {
+                ValueKind::Ptr(None) => Ok(0),
+                ValueKind::Ptr(Some(inner)) => self.alloc_pointee(&env, elem, inner),
+                _ => Err(mismatch(db, ty, val.kind_name())),
             },
-            _ => self.scalar(db, ty, val, resolve),
+            _ => self.scalar(&env, ty, val),
         }
     }
 
     fn alloc_pointee(
         &mut self,
-        db: &LoweredDb,
+        env: &Env<'_>,
         ty: TypeId,
-        val: &Value,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
+        val: ValueRef<'_>,
     ) -> Result<u64, EncodeError> {
+        let db = env.db;
         let mut buf = self.pooled_buf();
-        self.encode_into(db, ty, val, &mut buf, resolve)?;
+        self.encode_into(env, ty, val, &mut buf)?;
         let layout = db.layout(ty).clone()?;
         if (buf.len() as u64) < layout.size {
             buf.resize(layout.size as usize, 0);
@@ -776,22 +775,17 @@ impl LoweredEncoder {
         Ok(addr)
     }
 
-    fn scalar(
-        &mut self,
-        db: &LoweredDb,
-        ty: TypeId,
-        val: &Value,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
-    ) -> Result<u64, EncodeError> {
+    fn scalar(&mut self, env: &Env<'_>, ty: TypeId, val: ValueRef<'_>) -> Result<u64, EncodeError> {
+        let db = env.db;
         let lt = db.ltype(ty);
-        let bits = scalar_bits(db, lt).ok_or_else(|| mismatch(db, ty, value_kind(val)))?;
-        let raw = match (lt, val) {
+        let bits = scalar_bits(db, lt).ok_or_else(|| mismatch(db, ty, val.kind_name()))?;
+        let raw = match (lt, val.kind()) {
             (LType::Const { value, sym, .. }, _) => {
                 value.ok_or_else(|| EncodeError::UnresolvedConst(db.name(sym).to_string()))?
             }
-            (_, Value::Int(n)) => *n,
-            (_, Value::Res(r)) => resolve(r),
-            (_, other) => return Err(mismatch(db, ty, value_kind(other))),
+            (_, ValueKind::Int(n)) => n,
+            (_, ValueKind::Res(r)) => (env.resolve)(&r),
+            _ => return Err(mismatch(db, ty, val.kind_name())),
         };
         Ok(bits.truncate(raw))
     }
@@ -799,12 +793,12 @@ impl LoweredEncoder {
     #[allow(clippy::too_many_lines)]
     fn encode_into(
         &mut self,
-        db: &LoweredDb,
+        env: &Env<'_>,
         ty: TypeId,
-        val: &Value,
+        val: ValueRef<'_>,
         buf: &mut Vec<u8>,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
     ) -> Result<(), EncodeError> {
+        let db = env.db;
         match db.ltype(ty) {
             LType::Int { bits, .. }
             | LType::Const { bits, .. }
@@ -812,7 +806,7 @@ impl LoweredEncoder {
             | LType::Len { bits }
             | LType::Bytesize { bits }
             | LType::Proc { bits, .. } => {
-                let v = self.scalar(db, ty, val, resolve)?;
+                let v = self.scalar(env, ty, val)?;
                 push_int(buf, v, bits);
                 Ok(())
             }
@@ -821,30 +815,28 @@ impl LoweredEncoder {
                 let bits = r.bits.ok_or_else(|| {
                     EncodeError::Layout(LayoutError::UnknownType(db.name(r.name).to_string()))
                 })?;
-                let v = match val {
-                    Value::Int(n) => *n,
-                    Value::Res(rr) => resolve(rr),
-                    other => return Err(mismatch(db, ty, value_kind(other))),
+                let v = match val.kind() {
+                    ValueKind::Int(n) => n,
+                    ValueKind::Res(rr) => (env.resolve)(&rr),
+                    _ => return Err(mismatch(db, ty, val.kind_name())),
                 };
                 push_int(buf, bits.truncate(v), bits);
                 Ok(())
             }
             LType::Void => Ok(()),
-            LType::StringLit { .. } => match val {
-                Value::Bytes(b) => {
+            LType::StringLit { .. } => match val.kind() {
+                ValueKind::Bytes(b) => {
                     buf.extend_from_slice(b);
                     buf.push(0);
                     Ok(())
                 }
-                other => Err(mismatch(db, ty, value_kind(other))),
+                _ => Err(mismatch(db, ty, val.kind_name())),
             },
             LType::Ptr { elem, .. } => {
-                let addr = match val {
-                    Value::Ptr { pointee: None } => 0,
-                    Value::Ptr {
-                        pointee: Some(inner),
-                    } => self.alloc_pointee(db, elem, inner, resolve)?,
-                    other => return Err(mismatch(db, ty, value_kind(other))),
+                let addr = match val.kind() {
+                    ValueKind::Ptr(None) => 0,
+                    ValueKind::Ptr(Some(inner)) => self.alloc_pointee(env, elem, inner)?,
+                    _ => return Err(mismatch(db, ty, val.kind_name())),
                 };
                 push_int(buf, addr, IntBits::I64);
                 Ok(())
@@ -856,11 +848,11 @@ impl LoweredEncoder {
             } => {
                 // Same bytes as the AST walk, without its per-encode
                 // allocations (the reference collects a `Vec<&Value>`
-                // and clones byte payloads; here we index the group
-                // directly and pad/truncate in place).
-                let values: &[Value] = match val {
-                    Value::Group(vs) => vs,
-                    Value::Bytes(bytes) => {
+                // and clones byte payloads; here we walk the elements
+                // in place and pad/truncate in place).
+                let mut values = match val.kind() {
+                    ValueKind::Group(vs) => vs,
+                    ValueKind::Bytes(bytes) => {
                         if byte_elem {
                             let start = buf.len();
                             buf.extend_from_slice(bytes);
@@ -871,16 +863,16 @@ impl LoweredEncoder {
                         }
                         return Err(mismatch(db, ty, "bytes"));
                     }
-                    other => return Err(mismatch(db, ty, value_kind(other))),
+                    _ => return Err(mismatch(db, ty, val.kind_name())),
                 };
                 let elem_size = db.layout(elem).as_ref().map_err(Clone::clone)?.size;
                 let mut count = values.len() as u64;
                 if let ArrayLen::Fixed(n) = len {
                     count = n;
                 }
-                for i in 0..count {
-                    match values.get(i as usize) {
-                        Some(v) => self.encode_into(db, elem, v, buf, resolve)?,
+                for _ in 0..count {
+                    match values.next() {
+                        Some(v) => self.encode_into(env, elem, v, buf)?,
                         None => buf.extend(std::iter::repeat_n(0u8, elem_size as usize)),
                     }
                 }
@@ -888,9 +880,9 @@ impl LoweredEncoder {
             }
             LType::Struct { id } => {
                 if db.lstruct(id).is_union {
-                    self.encode_union(db, id, ty, val, buf, resolve)
+                    self.encode_union(env, id, ty, val, buf)
                 } else {
-                    self.encode_struct(db, id, ty, val, buf, resolve)
+                    self.encode_struct(env, id, ty, val, buf)
                 }
             }
             LType::UnknownNamed { name } => Err(EncodeError::Layout(LayoutError::UnknownType(
@@ -899,19 +891,17 @@ impl LoweredEncoder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn encode_union(
         &mut self,
-        db: &LoweredDb,
+        env: &Env<'_>,
         id: StructId,
         ty: TypeId,
-        val: &Value,
+        val: ValueRef<'_>,
         buf: &mut Vec<u8>,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
     ) -> Result<(), EncodeError> {
-        let (arm, inner) = match val {
-            Value::Union { arm, value } => (*arm, value.as_ref()),
-            other => return Err(mismatch(db, ty, value_kind(other))),
+        let db = env.db;
+        let ValueKind::Union { arm, value: inner } = val.kind() else {
+            return Err(mismatch(db, ty, val.kind_name()));
         };
         let field_ty = db
             .lstruct(id)
@@ -920,7 +910,7 @@ impl LoweredEncoder {
             .map(|f| f.ty)
             .ok_or_else(|| mismatch(db, ty, "union (arm out of range)"))?;
         let start = buf.len();
-        self.encode_into(db, field_ty, inner, buf, resolve)?;
+        self.encode_into(env, field_ty, inner, buf)?;
         let total = match &db.lstruct(id).layout {
             Ok((_, total)) => *total as usize,
             Err(e) => return Err(e.clone().into()),
@@ -931,19 +921,17 @@ impl LoweredEncoder {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn encode_struct(
         &mut self,
-        db: &LoweredDb,
+        env: &Env<'_>,
         id: StructId,
         ty: TypeId,
-        val: &Value,
+        val: ValueRef<'_>,
         buf: &mut Vec<u8>,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
     ) -> Result<(), EncodeError> {
-        let values = match val {
-            Value::Group(vs) => vs,
-            other => return Err(mismatch(db, ty, value_kind(other))),
+        let db = env.db;
+        let ValueKind::Group(values) = val.kind() else {
+            return Err(mismatch(db, ty, val.kind_name()));
         };
         let def = db.lstruct(id);
         if values.len() != def.fields.len() {
@@ -955,7 +943,7 @@ impl LoweredEncoder {
         };
         debug_assert_eq!(offsets.len(), values.len());
         let start = buf.len();
-        for i in 0..values.len() {
+        for (i, fv) in values.clone().enumerate() {
             let field = def.fields[i];
             // Align to this field's precomputed offset (dynamic earlier
             // fields may have shifted us; offsets are a lower bound then).
@@ -963,17 +951,16 @@ impl LoweredEncoder {
             if buf.len() < want {
                 buf.resize(want, 0);
             }
-            let fv = &values[i];
             match field.autofill {
                 Some(LAutofill::Len { target, bits }) => {
-                    let n = sibling_count(values, target);
+                    let n = sibling_count(values.clone(), target);
                     push_int(buf, bits.truncate(n), bits);
                 }
                 Some(LAutofill::Bytesize { target, bits }) => {
-                    let n = self.sibling_bytesize(db, values, target, resolve)?;
+                    let n = self.sibling_bytesize(env, values.clone(), target)?;
                     push_int(buf, bits.truncate(n), bits);
                 }
-                None => self.encode_into(db, field.ty, fv, buf, resolve)?,
+                None => self.encode_into(env, field.ty, fv, buf)?,
             }
         }
         if buf.len() - start < total as usize {
@@ -984,18 +971,17 @@ impl LoweredEncoder {
 
     fn sibling_bytesize(
         &mut self,
-        db: &LoweredDb,
-        values: &[Value],
+        env: &Env<'_>,
+        mut values: Values<'_>,
         target: Option<(u32, TypeId)>,
-        resolve: &dyn Fn(&crate::value::ResRef) -> u64,
     ) -> Result<u64, EncodeError> {
         let Some((idx, tty)) = target else {
             return Ok(0);
         };
         let mut scratch = self.pooled_buf();
-        let n = match deref_value_for_len(&values[idx as usize]) {
+        let n = match deref_value(values.nth(idx as usize).expect("field index in range")) {
             Some(v) => {
-                self.encode_into(db, tty, v, &mut scratch, resolve)?;
+                self.encode_into(env, tty, v, &mut scratch)?;
                 scratch.len() as u64
             }
             None => 0,
@@ -1006,16 +992,35 @@ impl LoweredEncoder {
     }
 }
 
+/// What every step of one argument's encoding reads: the IR and the
+/// resource resolver (one parameter, so the recursion passes its
+/// arguments in registers).
+struct Env<'e> {
+    db: &'e LoweredDb,
+    resolve: &'e dyn Fn(&ResRef) -> u64,
+}
+
+/// A `len`/`bytesize` target seen through one pointer level: the
+/// pointee, `None` for NULL, or the value itself when not a pointer
+/// (the flat-view twin of `crate::value::deref_value_for_len`).
+fn deref_value(v: ValueRef<'_>) -> Option<ValueRef<'_>> {
+    match v.kind() {
+        ValueKind::Ptr(p) => p,
+        _ => Some(v),
+    }
+}
+
 /// Element count used for `len[target]` (see
 /// `crate::value::sibling_count` — identical semantics over a
-/// pre-resolved field index).
-fn sibling_count(values: &[Value], target: Option<u32>) -> u64 {
+/// pre-resolved field index, the sibling found by hopping extents).
+fn sibling_count(mut values: Values<'_>, target: Option<u32>) -> u64 {
     let Some(idx) = target else {
         return 0;
     };
-    match deref_value_for_len(&values[idx as usize]) {
-        Some(Value::Bytes(b)) => b.len() as u64,
-        Some(Value::Group(g)) => g.len() as u64,
+    let target = values.nth(idx as usize).expect("field index in range");
+    match deref_value(target).map(ValueRef::kind) {
+        Some(ValueKind::Bytes(b)) => b.len() as u64,
+        Some(ValueKind::Group(g)) => g.len() as u64,
         Some(_) => 1,
         None => 0,
     }
@@ -1120,10 +1125,24 @@ fn scalar_bits(db: &LoweredDb, lt: LType) -> Option<IntBits> {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::value::{zero_value, MemBuilder, ResRef};
+    use crate::prog::{ProgCall, Program};
+    use crate::value::{zero_value, MemBuilder, Value};
 
     fn db(src: &str) -> SpecDb {
         SpecDb::from_files(vec![parse("t", src).unwrap()])
+    }
+
+    /// `v` as the only argument of a one-call program.
+    fn flat(v: &Value) -> Program {
+        Program::from_calls(&[ProgCall {
+            sys: 0,
+            args: vec![v.clone()],
+        }])
+    }
+
+    /// The flat view of the argument [`flat`] wrapped.
+    fn arg(p: &Program) -> ValueRef<'_> {
+        p.call(0).args().next().unwrap()
     }
 
     #[test]
@@ -1357,7 +1376,12 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         for (pi, p) in ast_sys.params.iter().enumerate() {
             let v = zero_value(&p.ty, &db).unwrap();
             let a = ast.encode_arg(&p.ty, &v, &resolve);
-            let b = low.encode_arg(&l, l.syscall(sys_idx).params[pi].ty, &v, &resolve);
+            let b = low.encode_arg(
+                &l,
+                l.syscall(sys_idx).params[pi].ty,
+                arg(&flat(&v)),
+                &resolve,
+            );
             assert_eq!(a, b, "param {pi}");
         }
         assert_eq!(ast.segments(), low.segments());
@@ -1368,7 +1392,12 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         for (pi, p) in ast_sys.params.iter().enumerate() {
             let v = zero_value(&p.ty, &db).unwrap();
             let a = ast.encode_arg(&p.ty, &v, &resolve);
-            let b = low.encode_arg(&l, l.syscall(sys_idx).params[pi].ty, &v, &resolve);
+            let b = low.encode_arg(
+                &l,
+                l.syscall(sys_idx).params[pi].ty,
+                arg(&flat(&v)),
+                &resolve,
+            );
             assert_eq!(a, b, "param {pi} after reset");
         }
         assert_eq!(ast.segments(), low.segments());
@@ -1389,7 +1418,7 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         let b = low.encode_arg(
             &l,
             l.syscall(sys_idx).params[1].ty,
-            &Value::Int(0),
+            arg(&flat(&Value::Int(0))),
             &resolve,
         );
         assert_eq!(a, b);
@@ -1397,7 +1426,12 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         // Unknown named type behind the pointer.
         let v = Value::ptr_to(Value::Group(vec![Value::Int(0)]));
         let a = ast.encode_arg(&ast_sys.params[2].ty, &v, &resolve);
-        let b = low.encode_arg(&l, l.syscall(sys_idx).params[2].ty, &v, &resolve);
+        let b = low.encode_arg(
+            &l,
+            l.syscall(sys_idx).params[2].ty,
+            arg(&flat(&v)),
+            &resolve,
+        );
         assert_eq!(a, b);
         assert!(matches!(a, Err(EncodeError::Layout(_))));
         // Value-shape mismatch.
@@ -1405,7 +1439,7 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         let b = low.encode_arg(
             &l,
             l.syscall(sys_idx).params[2].ty,
-            &Value::Int(1),
+            arg(&flat(&Value::Int(1))),
             &resolve,
         );
         assert_eq!(a, b);

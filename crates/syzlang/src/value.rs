@@ -90,12 +90,6 @@ impl Value {
     }
 }
 
-impl Default for Value {
-    fn default() -> Value {
-        Value::Int(0)
-    }
-}
-
 /// Error produced by the encoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodeError {
@@ -139,7 +133,7 @@ fn mismatch(ty: &Type, found: &'static str) -> EncodeError {
     }
 }
 
-pub(crate) fn value_kind(v: &Value) -> &'static str {
+fn value_kind(v: &Value) -> &'static str {
     match v {
         Value::Int(_) => "int",
         Value::Res(_) => "resource",
@@ -517,7 +511,7 @@ pub(crate) fn deref_for_len(ty: &Type) -> Option<&Type> {
     }
 }
 
-pub(crate) fn deref_value_for_len(v: &Value) -> Option<&Value> {
+fn deref_value_for_len(v: &Value) -> Option<&Value> {
     match v {
         Value::Ptr { pointee } => pointee.as_deref(),
         other => Some(other),

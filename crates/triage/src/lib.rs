@@ -15,7 +15,7 @@
 //!   triage dedups on that key, so two spec suites reaching the same
 //!   bug triage identically;
 //! * **[`minimize()`]** — a deterministic ddmin-style search shrinking a
-//!   captured `ProgCall` stream to a **1-minimal** reproducer
+//!   captured program to a **1-minimal** reproducer
 //!   (removing any single call loses the crash), judged by a
 //!   caller-supplied replay oracle so the fuzzer drives it through its
 //!   allocation-reusing lowered execution path;

@@ -17,9 +17,9 @@
 //! lets the sharded campaign run it at epoch boundaries in shard-id
 //! order and stay bit-identical at any thread count.
 
-use kgpt_syzlang::prog::{ProgCall, Program};
+use kgpt_syzlang::prog::Program;
+#[cfg(doc)]
 use kgpt_syzlang::value::ResRef;
-use kgpt_syzlang::Value;
 
 /// Result of a minimization run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,28 +30,20 @@ pub struct MinimizeOutcome {
     pub execs: u64,
 }
 
-/// Keep only the calls at `keep` (ascending indices into
-/// `prog.calls`), remapping every [`ResRef`] producer index of the
-/// survivors: a reference to a kept call follows it to its new
-/// position, a reference to a removed call becomes dangling (its
-/// fallback value is preserved).
+/// Keep only the calls at `keep` (ascending call indices), remapping
+/// every [`ResRef`] producer index of the survivors in place: a
+/// reference to a kept call follows it to its new position, a
+/// reference to a removed call becomes dangling (its fallback value
+/// is preserved).
 #[must_use]
 pub fn project(prog: &Program, keep: &[usize]) -> Program {
     let mut map: Vec<Option<usize>> = vec![None; prog.len()];
     for (new_idx, &old_idx) in keep.iter().enumerate() {
         map[old_idx] = Some(new_idx);
     }
-    let calls = keep
-        .iter()
-        .map(|&i| {
-            let c = &prog.calls[i];
-            ProgCall {
-                sys: c.sys,
-                args: c.args.iter().map(|v| remap_value(v, &map)).collect(),
-            }
-        })
-        .collect();
-    Program { calls }
+    let mut out = prog.select_calls(keep);
+    out.remap_producers(|p| map.get(p).copied().flatten());
+    out
 }
 
 /// The program with call `idx` removed (references remapped) — the
@@ -60,24 +52,6 @@ pub fn project(prog: &Program, keep: &[usize]) -> Program {
 pub fn without_call(prog: &Program, idx: usize) -> Program {
     let keep: Vec<usize> = (0..prog.len()).filter(|&i| i != idx).collect();
     project(prog, &keep)
-}
-
-fn remap_value(v: &Value, map: &[Option<usize>]) -> Value {
-    match v {
-        Value::Res(r) => Value::Res(ResRef {
-            producer: r.producer.and_then(|i| map.get(i).copied().flatten()),
-            fallback: r.fallback,
-        }),
-        Value::Group(vs) => Value::Group(vs.iter().map(|v| remap_value(v, map)).collect()),
-        Value::Union { arm, value } => Value::Union {
-            arm: *arm,
-            value: Box::new(remap_value(value, map)),
-        },
-        Value::Ptr { pointee } => Value::Ptr {
-            pointee: pointee.as_ref().map(|p| Box::new(remap_value(p, map))),
-        },
-        Value::Int(_) | Value::Bytes(_) => v.clone(),
-    }
 }
 
 /// Minimize `prog` to a 1-minimal reproducer under `reproduces`.
@@ -223,6 +197,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgpt_syzlang::prog::ProgCall;
+    use kgpt_syzlang::value::ResRef;
+    use kgpt_syzlang::Value;
     use std::collections::BTreeSet;
 
     fn call(sys: u32, args: Vec<Value>) -> ProgCall {
@@ -230,16 +207,14 @@ mod tests {
     }
 
     fn prog_of(sys: &[u32]) -> Program {
-        Program {
-            calls: sys.iter().map(|&s| call(s, vec![])).collect(),
-        }
+        Program::from_calls(&sys.iter().map(|&s| call(s, vec![])).collect::<Vec<_>>())
     }
 
     /// Oracle: reproduces iff the call stream contains every syscall
     /// id in `need` (in any order).
     fn contains_all(need: &[u32]) -> impl Fn(&Program) -> bool + '_ {
         move |p: &Program| {
-            let have: BTreeSet<u32> = p.calls.iter().map(|c| c.sys).collect();
+            let have: BTreeSet<u32> = p.calls().map(|c| c.sys()).collect();
             need.iter().all(|n| have.contains(n))
         }
     }
@@ -249,7 +224,7 @@ mod tests {
         let p = prog_of(&[9, 1, 8, 2, 7, 3, 6, 5, 4, 1, 2]);
         let need = [1u32, 2, 3];
         let out = minimize(&p, contains_all(&need));
-        let got: Vec<u32> = out.program.calls.iter().map(|c| c.sys).collect();
+        let got: Vec<u32> = out.program.calls().map(|c| c.sys()).collect();
         assert_eq!(got.len(), 3, "{got:?}");
         assert!(contains_all(&need)(&out.program));
         assert!(out.execs > 0);
@@ -276,11 +251,11 @@ mod tests {
     fn repeat_style_oracles_keep_every_copy() {
         // An oracle needing three copies of call 7 (the Repeat-trigger
         // shape) must keep exactly three.
-        let oracle = |p: &Program| p.calls.iter().filter(|c| c.sys == 7).count() >= 3;
+        let oracle = |p: &Program| p.calls().filter(|c| c.sys() == 7).count() >= 3;
         let p = prog_of(&[7, 0, 7, 0, 0, 7, 7, 7, 0]);
         let out = minimize(&p, oracle);
         assert_eq!(out.program.len(), 3);
-        assert!(out.program.calls.iter().all(|c| c.sys == 7));
+        assert!(out.program.calls().all(|c| c.sys() == 7));
     }
 
     #[test]
@@ -377,31 +352,29 @@ mod tests {
                 fallback: 42,
             })
         };
-        let p = Program {
-            calls: vec![
-                call(0, vec![]),
-                call(1, vec![res(Some(0))]),
-                call(
-                    2,
-                    vec![Value::ptr_to(Value::Group(vec![
-                        res(Some(0)),
-                        res(Some(1)),
-                    ]))],
-                ),
-            ],
-        };
+        let p = Program::from_calls(&[
+            call(0, vec![]),
+            call(1, vec![res(Some(0))]),
+            call(
+                2,
+                vec![Value::ptr_to(Value::Group(vec![
+                    res(Some(0)),
+                    res(Some(1)),
+                ]))],
+            ),
+        ]);
         // Keep calls 0 and 2: the ref to call 0 follows it to index 0,
         // the ref to removed call 1 dangles (fallback preserved).
-        let q = project(&p, &[0, 2]);
+        let q = project(&p, &[0, 2]).to_calls();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.calls[1].sys, 2);
-        let refs = q.calls[1].args[0].res_refs();
+        assert_eq!(q[1].sys, 2);
+        let refs = q[1].args[0].res_refs();
         assert_eq!(refs[0].producer, Some(0));
         assert_eq!(refs[1].producer, None);
         assert_eq!(refs[1].fallback, 42);
         // Dropping the producer instead: the surviving ref dangles.
-        let q = project(&p, &[1, 2]);
-        assert_eq!(q.calls[0].args[0].res_refs()[0].producer, None);
-        assert_eq!(q.calls[1].args[0].res_refs()[1].producer, Some(0));
+        let q = project(&p, &[1, 2]).to_calls();
+        assert_eq!(q[0].args[0].res_refs()[0].producer, None);
+        assert_eq!(q[1].args[0].res_refs()[1].producer, Some(0));
     }
 }

@@ -31,7 +31,7 @@ pub struct TriageEntry {
     pub first_shard: u32,
     /// Crashing executions with this signature, summed across shards.
     pub count: u64,
-    /// The full `ProgCall` stream captured at first observation.
+    /// The full program captured at first observation.
     pub raw: Program,
     /// The 1-minimal reproducer (ddmin output; still triggers the
     /// signature under lowered dispatch).
@@ -180,12 +180,8 @@ mod tests {
             first_epoch: epoch,
             first_shard: shard,
             count: 0,
-            raw: Program {
-                calls: vec![call.clone(); raw_len],
-            },
-            minimized: Program {
-                calls: vec![call; raw_len.div_ceil(2)],
-            },
+            raw: Program::from_calls(&vec![call.clone(); raw_len]),
+            minimized: Program::from_calls(&vec![call; raw_len.div_ceil(2)]),
             minimize_execs: 10,
             reproducible: true,
         }

@@ -669,3 +669,85 @@ fn synthetic_blueprints_are_coherent() {
         }
     }
 }
+
+/// The program decoder is total and canonical over real programs and
+/// their corruptions: dm and deep-chain programs (fresh and mutated)
+/// round-trip exactly, and every truncated, bit-flipped or garbage
+/// variant either fails with an error or decodes to a program whose
+/// encoding is exactly the bytes consumed — never a panic.
+#[test]
+fn program_decoder_is_total_and_canonical() {
+    use kernelgpt::csrc::{deepchain, flagship, KernelCorpus};
+
+    fn check_canonical(bytes: &[u8], label: &str) {
+        let mut pos = 0;
+        if let Ok(p) = Program::decode_from(bytes, &mut pos) {
+            let mut again = Vec::new();
+            p.encode_into(&mut again);
+            assert_eq!(again, &bytes[..pos], "{label}: decode is not canonical");
+        }
+    }
+
+    let suites = [
+        ("dm", vec![flagship::dm()]),
+        ("deepchain", deepchain::suite()),
+    ];
+    for (label, blueprints) in suites {
+        let kc = KernelCorpus::from_blueprints(blueprints);
+        let suite: Vec<_> = kc
+            .blueprints()
+            .iter()
+            .map(|bp| bp.ground_truth_spec())
+            .collect();
+        let db = SpecDb::from_files(suite);
+        let mut g = Generator::new(&db, kc.consts(), 0xC0DEC);
+        let mut rng = StdRng::seed_from_u64(0xF11B);
+        let mut prog = g.gen_program(8);
+        for step in 0..12u32 {
+            prog = if step % 3 == 0 {
+                g.gen_program(8)
+            } else {
+                g.mutate(&prog, 8)
+            };
+            let mut bytes = Vec::new();
+            prog.encode_into(&mut bytes);
+            let mut pos = 0;
+            let back = Program::decode_from(&bytes, &mut pos).expect("valid encoding decodes");
+            assert_eq!(back, prog, "{label} step {step}");
+            assert_eq!(pos, bytes.len(), "{label} step {step}");
+            // Truncations: every short prefix, then evenly spaced cuts.
+            let cuts = (0..bytes.len().min(64)).chain((0..64).map(|k| k * bytes.len() / 64));
+            for cut in cuts {
+                let mut pos = 0;
+                assert!(
+                    Program::decode_from(&bytes[..cut], &mut pos).is_err(),
+                    "{label} step {step}: a {cut}-byte prefix decoded"
+                );
+            }
+            // Bit flips at random positions, biased to the header.
+            for _ in 0..256 {
+                let at = if rng.random_bool(0.5) {
+                    rng.random_range(0..bytes.len().min(64))
+                } else {
+                    rng.random_range(0..bytes.len())
+                };
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << rng.random_range(0..8u32);
+                check_canonical(&bad, &format!("{label} step {step} flip at {at}"));
+            }
+        }
+    }
+    // Garbage.
+    let mut rng = StdRng::seed_from_u64(7);
+    for case in 0..512u32 {
+        let len = rng.random_range(0..96usize);
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|_| rng.random_range(0..=255u32) as u8)
+            .collect();
+        if len >= 4 && rng.random_bool(0.5) {
+            // A small call count, so decoding gets past the header.
+            bytes[..4].copy_from_slice(&rng.random_range(0..3u32).to_le_bytes());
+        }
+        check_canonical(&bytes, &format!("garbage case {case}"));
+    }
+}
