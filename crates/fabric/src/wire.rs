@@ -28,7 +28,10 @@ use kgpt_fuzzer::{CampaignConfig, HubSeed, ShardSnapshot};
 /// grants/deltas/replies are tenant-tagged, and a new [`Message::Retry`]
 /// refuses a registration (quarantine or overload shedding) with a
 /// retry-after measured in grant cycles.
-pub const FRAME_VERSION: u32 = 3;
+/// v4: corpus-entry and hub-seed coverage keys are sparse word lists
+/// (`kgpt_vkernel::SparseCoverage`), and dense coverage maps end in a
+/// nonzero word.
+pub const FRAME_VERSION: u32 = 4;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

@@ -8,14 +8,38 @@
 //! [`TriageReport`]. Restoring it and continuing is **bit-identical**
 //! to never having stopped (pinned by `tests/durability.rs`).
 //!
-//! The encoding is a dense little-endian binary format written by
-//! hand — the vendored `serde` derives are no-ops, and `kgpt_bench`
-//! depends on this crate, so neither an external codec nor the bench
-//! JSON writer is available here. The on-disk layout is:
+//! The encoding is a little-endian binary format written by hand —
+//! the vendored `serde` derives are no-ops, and `kgpt_bench` depends
+//! on this crate, so neither an external codec nor the bench JSON
+//! writer is available here. The on-disk layout (version 3) is:
 //!
 //! ```text
-//! magic "KGPTCKPT" | version u32 | checksum u64 (FNV-1a of payload) | payload
+//! file    = magic "KGPTCKPT" | version u32 | checksum u64 (FNV-1a of payload) | payload
+//! payload = config fp u64 | spec fp u64 | epochs done u64
+//!         | shards: u32 n, n × shard
+//!         | hub top_k u64 | hub published u64 | hub union: dense
+//!         | hub seeds: u32 n, n × (shard u32 | program | key)
+//!         | triage: u32 n, n × entry (signatures strictly ascending)
+//!         | traces: u32 n, n × (shard u32 | len u32 | store bytes)
+//! shard   = id u32 | epoch u64 | rng_pick u64 | remaining u64 | fuel u64
+//!         | gen rng 4 × u64 | corpus rng u64 | corpus union: dense
+//!         | admitted u64 | imported u64 | evicted u64
+//!         | entries: u32 n, n × (program | key | execs u64 | hits u64)
+//!         | crashes: u32 n, n × (title str | count u64 | cve opt-str), titles strictly ascending
+//!         | triage seen: u32 n, n × signature, strictly ascending
+//! dense   = u32 n | n × u64 bitmap word, the last word nonzero
+//! key     = u32 n | n × (u32 word index | u64 word), indices strictly increasing
+//!           and at most `MAX_KEY_WORD_INDEX`, words nonzero
 //! ```
+//!
+//! Programs use the [`Program::encode_into`] codec and keys the
+//! [`SparseCoverage::encode_into`] codec. Every section is written in
+//! one fixed order and the decoder rejects any other, so a snapshot
+//! has exactly one encoding: `to_bytes(from_bytes(b)) == b` whenever
+//! `b` decodes as version 3. Versions 1 and 2 still load. Their keys
+//! are dense bitmaps, which are converted to sparse keys on load, and
+//! their dense maps may end in zero words; version 1 has no trace
+//! section.
 //!
 //! Writes are atomic and keep one generation of history: the payload
 //! goes to `<path>.tmp`, the current snapshot (if any) rotates to
@@ -30,7 +54,10 @@ use crate::corpus::{CorpusEntry, CorpusStats};
 use crate::hub::{HubSeed, SeedHub};
 use crate::program::Program;
 use kgpt_triage::{TriageEntry, TriageReport};
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, SanitizerKind, Sysno};
+use kgpt_vkernel::{
+    CoverageMap, CoverageWordDiff, CrashSignature, KeyDecodeError, SanitizerKind, SparseCoverage,
+    Sysno,
+};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -41,8 +68,15 @@ const MAGIC: &[u8; 8] = b"KGPTCKPT";
 /// reader never guesses at an unknown version. Version 2 appended the
 /// flight recorder's per-shard trace stores; version-1 snapshots are
 /// still read (their trace section is simply empty — resume starts
-/// with fresh rings, losing no campaign state).
-const VERSION: u32 = 2;
+/// with fresh rings, losing no campaign state). Version 3 stores
+/// corpus and hub keys sparsely and dense maps without trailing zero
+/// words ([`SPARSE_KEYS`]).
+pub(crate) const VERSION: u32 = 3;
+
+/// First version whose keys are [`SparseCoverage`] word lists and
+/// whose dense maps end in a nonzero word. Earlier payloads carry
+/// dense keys, converted on load.
+const SPARSE_KEYS: u32 = 3;
 
 /// Error reading, writing, or validating a campaign snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +100,12 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<KeyDecodeError> for CheckpointError {
+    fn from(e: KeyDecodeError) -> CheckpointError {
+        CheckpointError::new(e.to_string())
+    }
+}
 
 impl From<kgpt_syzlang::prog::DecodeError> for CheckpointError {
     fn from(e: kgpt_syzlang::prog::DecodeError) -> CheckpointError {
@@ -199,7 +239,7 @@ impl CampaignSnapshot {
         for seed in &self.hub_seeds {
             put_u32(&mut payload, seed.shard);
             seed.program.encode_into(&mut payload);
-            put_coverage(&mut payload, &seed.contributed);
+            seed.contributed.encode_into(&mut payload);
         }
         let entries: Vec<&TriageEntry> = self.triage.entries().collect();
         put_u32(
@@ -246,7 +286,7 @@ impl CampaignSnapshot {
         }
         let mut pos = 8usize;
         let version = take_u32(bytes, &mut pos)?;
-        if version != VERSION && version != 1 {
+        if !(1..=VERSION).contains(&version) {
             return Err(CheckpointError::new(format!(
                 "unsupported snapshot version {version} (expected {VERSION})"
             )));
@@ -265,18 +305,18 @@ impl CampaignSnapshot {
         let n_shards = take_u32(bytes, &mut pos)? as usize;
         let mut shards = Vec::new();
         for _ in 0..n_shards {
-            shards.push(decode_shard(bytes, &mut pos)?);
+            shards.push(decode_shard(bytes, &mut pos, version)?);
         }
         let hub_top_k = usize::try_from(take_u64(bytes, &mut pos)?)
             .map_err(|_| CheckpointError::new("hub top_k out of range"))?;
         let hub_published = take_u64(bytes, &mut pos)?;
-        let hub_coverage = take_coverage(bytes, &mut pos)?;
+        let hub_coverage = take_coverage(bytes, &mut pos, version)?;
         let n_seeds = take_u32(bytes, &mut pos)? as usize;
         let mut hub_seeds = Vec::new();
         for _ in 0..n_seeds {
             let shard = take_u32(bytes, &mut pos)?;
             let program = Program::decode_from(bytes, &mut pos)?;
-            let contributed = take_coverage(bytes, &mut pos)?;
+            let contributed = take_key(bytes, &mut pos, version)?;
             hub_seeds.push(HubSeed {
                 shard,
                 program,
@@ -285,11 +325,12 @@ impl CampaignSnapshot {
         }
         let n_triage = take_u32(bytes, &mut pos)? as usize;
         let mut triage = TriageReport::new();
+        let mut prev = None;
         for _ in 0..n_triage {
             let entry = decode_triage_entry(bytes, &mut pos)?;
-            if !triage.admit(entry) {
-                return Err(CheckpointError::new("duplicate triage signature"));
-            }
+            check_ascending(prev.as_ref(), &entry.signature, "triage signatures", pos)?;
+            prev = Some(entry.signature);
+            triage.admit(entry);
         }
         // The trace section arrived with version 2; version-1
         // snapshots simply have none.
@@ -438,6 +479,7 @@ pub(crate) fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
+/// Append a dense map: its words up to the last nonzero one.
 pub(crate) fn put_coverage(out: &mut Vec<u8>, cov: &CoverageMap) {
     let words = cov.words();
     put_u32(out, u32::try_from(words.len()).unwrap_or(u32::MAX));
@@ -498,13 +540,59 @@ pub(crate) fn take_opt_str(
     }
 }
 
-pub(crate) fn take_coverage(bytes: &[u8], pos: &mut usize) -> Result<CoverageMap, CheckpointError> {
+/// Read a dense map written by [`put_coverage`] (or, before
+/// [`SPARSE_KEYS`], by a writer that kept trailing zero words).
+pub(crate) fn take_coverage(
+    bytes: &[u8],
+    pos: &mut usize,
+    version: u32,
+) -> Result<CoverageMap, CheckpointError> {
     let n = take_u32(bytes, pos)? as usize;
-    let mut words = Vec::new();
+    let remaining = bytes.len().saturating_sub(*pos);
+    if n > remaining / 8 {
+        return Err(CheckpointError::new(format!(
+            "coverage word count {n} exceeds the {remaining} remaining bytes"
+        )));
+    }
+    let mut words = Vec::with_capacity(n);
     for _ in 0..n {
         words.push(take_u64(bytes, pos)?);
     }
+    if version >= SPARSE_KEYS && words.last() == Some(&0) {
+        return Err(CheckpointError::new(format!(
+            "coverage map ends in a zero word at {pos}"
+        )));
+    }
     Ok(CoverageMap::from_words(words))
+}
+
+/// Read a corpus or hub key: a [`SparseCoverage`] since
+/// [`SPARSE_KEYS`], a dense map converted to one before.
+pub(crate) fn take_key(
+    bytes: &[u8],
+    pos: &mut usize,
+    version: u32,
+) -> Result<SparseCoverage, CheckpointError> {
+    if version < SPARSE_KEYS {
+        return Ok(SparseCoverage::from(&take_coverage(bytes, pos, version)?));
+    }
+    Ok(SparseCoverage::decode_from(bytes, pos)?)
+}
+
+/// Fail unless `next` strictly follows `prev`: map and set sections
+/// are written in key order, so no other order encodes a snapshot.
+fn check_ascending<T: Ord>(
+    prev: Option<&T>,
+    next: &T,
+    what: &str,
+    pos: usize,
+) -> Result<(), CheckpointError> {
+    match prev {
+        Some(p) if p >= next => Err(CheckpointError::new(format!(
+            "{what} not strictly ascending at {pos}"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Tag bytes of the two [`CoverageWordDiff`] shapes on the wire.
@@ -608,7 +696,7 @@ pub(crate) fn take_signature(
 
 pub(crate) fn encode_corpus_entry(e: &CorpusEntry, out: &mut Vec<u8>) {
     e.program.encode_into(out);
-    put_coverage(out, &e.contributed);
+    e.contributed.encode_into(out);
     put_u64(out, e.execs);
     put_u64(out, e.hits);
 }
@@ -616,9 +704,10 @@ pub(crate) fn encode_corpus_entry(e: &CorpusEntry, out: &mut Vec<u8>) {
 pub(crate) fn decode_corpus_entry(
     bytes: &[u8],
     pos: &mut usize,
+    version: u32,
 ) -> Result<CorpusEntry, CheckpointError> {
     let program = Program::decode_from(bytes, pos)?;
-    let contributed = take_coverage(bytes, pos)?;
+    let contributed = take_key(bytes, pos, version)?;
     let execs = take_u64(bytes, pos)?;
     let hits = take_u64(bytes, pos)?;
     Ok(CorpusEntry {
@@ -665,6 +754,7 @@ pub(crate) fn encode_shard(s: &ShardSnapshot, out: &mut Vec<u8>) {
 pub(crate) fn decode_shard(
     bytes: &[u8],
     pos: &mut usize,
+    version: u32,
 ) -> Result<ShardSnapshot, CheckpointError> {
     let id = take_u32(bytes, pos)?;
     let epoch = take_u64(bytes, pos)?;
@@ -676,7 +766,7 @@ pub(crate) fn decode_shard(
         *w = take_u64(bytes, pos)?;
     }
     let corpus_rng = take_u64(bytes, pos)?;
-    let corpus_coverage = take_coverage(bytes, pos)?;
+    let corpus_coverage = take_coverage(bytes, pos, version)?;
     let corpus_stats = CorpusStats {
         admitted: take_u64(bytes, pos)?,
         imported: take_u64(bytes, pos)?,
@@ -685,12 +775,13 @@ pub(crate) fn decode_shard(
     let n_entries = take_u32(bytes, pos)? as usize;
     let mut corpus_entries = Vec::new();
     for _ in 0..n_entries {
-        corpus_entries.push(decode_corpus_entry(bytes, pos)?);
+        corpus_entries.push(decode_corpus_entry(bytes, pos, version)?);
     }
     let n_crashes = take_u32(bytes, pos)? as usize;
     let mut crashes = CrashTally::new();
     for _ in 0..n_crashes {
         let title = take_str(bytes, pos)?;
+        check_ascending(crashes.keys().next_back(), &title, "crash titles", *pos)?;
         let count = take_u64(bytes, pos)?;
         let cve = take_opt_str(bytes, pos)?;
         crashes.insert(title, (count, cve));
@@ -698,7 +789,9 @@ pub(crate) fn decode_shard(
     let n_seen = take_u32(bytes, pos)? as usize;
     let mut triage_seen = BTreeSet::new();
     for _ in 0..n_seen {
-        triage_seen.insert(take_signature(bytes, pos)?);
+        let sig = take_signature(bytes, pos)?;
+        check_ascending(triage_seen.last(), &sig, "triage-seen signatures", *pos)?;
+        triage_seen.insert(sig);
     }
     Ok(ShardSnapshot {
         id,
@@ -775,6 +868,10 @@ mod tests {
         blocks.iter().copied().collect()
     }
 
+    fn key(blocks: &[u64]) -> SparseCoverage {
+        blocks.iter().copied().collect()
+    }
+
     fn prog(sys: u32) -> Program {
         Program::from_calls(&[ProgCall {
             sys,
@@ -822,7 +919,7 @@ mod tests {
                 corpus_coverage: cov(&[1, 2, 64, 500]),
                 corpus_entries: vec![CorpusEntry {
                     program: prog(1),
-                    contributed: cov(&[64]),
+                    contributed: key(&[64]),
                     execs: 12,
                     hits: 2,
                 }],
@@ -844,7 +941,7 @@ mod tests {
             hub_seeds: vec![HubSeed {
                 shard: 0,
                 program: prog(2),
-                contributed: cov(&[2]),
+                contributed: key(&[2]),
             }],
             triage,
             // Opaque to the checkpoint layer: any bytes round-trip.
@@ -997,24 +1094,169 @@ mod tests {
         }
     }
 
+    /// `snap` framed as `version` 1 or 2, the dense-key formats: every
+    /// key and union a bitmap padded with trailing zero words (as the
+    /// old full-width diffs were), and no trace section in version 1.
+    fn legacy_bytes(snap: &CampaignSnapshot, version: u32) -> Vec<u8> {
+        fn dense(out: &mut Vec<u8>, blocks: impl Iterator<Item = u64>) {
+            let mut words = blocks.collect::<CoverageMap>().words().to_vec();
+            words.extend([0u64; 3]);
+            put_u32(out, u32::try_from(words.len()).unwrap());
+            for w in words {
+                put_u64(out, w);
+            }
+        }
+        let mut p = Vec::new();
+        put_u64(&mut p, snap.config_fingerprint);
+        put_u64(&mut p, snap.spec_fingerprint);
+        put_u64(&mut p, snap.epochs_done);
+        put_u32(&mut p, u32::try_from(snap.shards.len()).unwrap());
+        for s in &snap.shards {
+            put_u32(&mut p, s.id);
+            for v in [s.epoch, s.rng_pick, s.remaining, s.fuel_exhausted] {
+                put_u64(&mut p, v);
+            }
+            for w in s.gen_rng {
+                put_u64(&mut p, w);
+            }
+            put_u64(&mut p, s.corpus_rng);
+            dense(&mut p, s.corpus_coverage.iter());
+            put_u64(&mut p, s.corpus_stats.admitted);
+            put_u64(&mut p, s.corpus_stats.imported);
+            put_u64(&mut p, s.corpus_stats.evicted);
+            put_u32(&mut p, u32::try_from(s.corpus_entries.len()).unwrap());
+            for e in &s.corpus_entries {
+                e.program.encode_into(&mut p);
+                dense(&mut p, e.contributed.iter());
+                put_u64(&mut p, e.execs);
+                put_u64(&mut p, e.hits);
+            }
+            put_u32(&mut p, u32::try_from(s.crashes.len()).unwrap());
+            for (title, (count, cve)) in &s.crashes {
+                put_str(&mut p, title);
+                put_u64(&mut p, *count);
+                put_opt_str(&mut p, cve.as_deref());
+            }
+            put_u32(&mut p, u32::try_from(s.triage_seen.len()).unwrap());
+            for sig in &s.triage_seen {
+                put_signature(&mut p, sig);
+            }
+        }
+        put_u64(&mut p, snap.hub_top_k as u64);
+        put_u64(&mut p, snap.hub_published);
+        dense(&mut p, snap.hub_coverage.iter());
+        put_u32(&mut p, u32::try_from(snap.hub_seeds.len()).unwrap());
+        for seed in &snap.hub_seeds {
+            put_u32(&mut p, seed.shard);
+            seed.program.encode_into(&mut p);
+            dense(&mut p, seed.contributed.iter());
+        }
+        put_u32(&mut p, u32::try_from(snap.triage.len()).unwrap());
+        for e in snap.triage.entries() {
+            encode_triage_entry(e, &mut p);
+        }
+        if version >= 2 {
+            put_u32(&mut p, u32::try_from(snap.traces.len()).unwrap());
+            for (id, store) in &snap.traces {
+                put_u32(&mut p, *id);
+                put_u32(&mut p, u32::try_from(store.len()).unwrap());
+                p.extend_from_slice(store);
+            }
+        }
+        let mut out = MAGIC.to_vec();
+        put_u32(&mut out, version);
+        put_u64(&mut out, fnv1a(&p));
+        out.extend_from_slice(&p);
+        out
+    }
+
+    /// Replace the payload checksum, so a payload edit reaches the
+    /// decoder instead of failing the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = fnv1a(&bytes[20..]);
+        bytes[12..20].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn version_one_snapshots_without_traces_still_load() {
-        // A pre-flight-recorder snapshot is the same payload minus
-        // the trailing trace section, under version 1. Reconstruct
-        // one from the current encoder and check it reads back with
-        // an empty trace list.
+        // A pre-flight-recorder snapshot: dense keys padded with
+        // trailing zero words, no trace section, version 1. It loads
+        // with sparse keys and an empty trace list, and re-encodes as
+        // the current version.
         let mut snap = sample();
         snap.traces.clear();
-        let v2 = snap.to_bytes();
-        // Strip the 4-byte empty trace section and re-frame as v1.
-        let payload = &v2[20..v2.len() - 4];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        put_u32(&mut v1, 1);
-        put_u64(&mut v1, fnv1a(payload));
-        v1.extend_from_slice(payload);
-        let decoded = CampaignSnapshot::from_bytes(&v1).unwrap();
+        let decoded = CampaignSnapshot::from_bytes(&legacy_bytes(&snap, 1)).unwrap();
         assert_eq!(decoded, snap);
         assert!(decoded.traces.is_empty());
+        assert_eq!(decoded.to_bytes(), snap.to_bytes());
+    }
+
+    #[test]
+    fn version_two_dense_key_snapshots_still_load() {
+        let snap = sample();
+        let decoded = CampaignSnapshot::from_bytes(&legacy_bytes(&snap, 2)).unwrap();
+        assert_eq!(decoded, snap);
+        assert_eq!(decoded.to_bytes(), snap.to_bytes());
+    }
+
+    #[test]
+    fn dense_maps_are_canonical_from_version_three() {
+        let mut bytes = Vec::new();
+        put_coverage(&mut bytes, &cov(&[3, 700]));
+        assert_eq!(bytes.len(), 4 + 8 * 11, "no trailing zero words written");
+        let mut padded = Vec::new();
+        put_u32(&mut padded, 12);
+        padded.extend_from_slice(&bytes[4..]);
+        put_u64(&mut padded, 0);
+        let e = take_coverage(&padded, &mut 0, VERSION).unwrap_err();
+        assert!(e.message.contains("zero word"), "{e}");
+        assert_eq!(take_coverage(&padded, &mut 0, 2).unwrap(), cov(&[3, 700]));
+        // A count the input cannot hold fails before any reservation.
+        let mut huge = Vec::new();
+        put_u32(&mut huge, u32::MAX);
+        let e = take_coverage(&huge, &mut 0, VERSION).unwrap_err();
+        assert!(e.message.contains("exceeds"), "{e}");
+    }
+
+    #[test]
+    fn out_of_order_sections_are_rejected() {
+        // "bug a" first appears as the shard's first crash title;
+        // renaming it "bug c" puts it after "bug b".
+        let mut bytes = sample().to_bytes();
+        let at = bytes.windows(5).position(|w| w == b"bug a").unwrap();
+        bytes[at + 4] = b'c';
+        reseal(&mut bytes);
+        let e = CampaignSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(e.message.contains("crash titles"), "{e}");
+        // The shard's triage-seen set is sig(5), sig(9); raising the
+        // first site to 10 puts it after the second.
+        let mut bytes = sample().to_bytes();
+        let mut seen = Vec::new();
+        put_signature(&mut seen, &sig(5));
+        put_signature(&mut seen, &sig(9));
+        let at = bytes.windows(seen.len()).position(|w| w == seen).unwrap();
+        bytes[at + 3] = 10;
+        reseal(&mut bytes);
+        let e = CampaignSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(e.message.contains("triage-seen"), "{e}");
+    }
+
+    #[test]
+    fn a_far_single_block_admission_keeps_one_key_word() {
+        // Census handlers reach past block 3,000,000. The dense diff
+        // of this admission would be 46,876 words; the key is one,
+        // and its checkpoint encoding is at most 16 bytes.
+        let mut corpus = crate::corpus::Corpus::new(8, 0);
+        assert_eq!(corpus.observe(prog(1), &cov(&[3_000_011]), None), 1);
+        let entry = corpus.entry(0);
+        assert_eq!(entry.contributed.words().len(), 1);
+        let mut out = Vec::new();
+        encode_corpus_entry(entry, &mut out);
+        let mut program = Vec::new();
+        entry.program.encode_into(&mut program);
+        let key_bytes = out.len() - program.len() - 16;
+        assert!(key_bytes <= 16, "key encodes in {key_bytes} bytes");
+        let decoded = decode_corpus_entry(&out, &mut 0, VERSION).unwrap();
+        assert_eq!(&decoded, entry);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Corpus`] is the campaign's memory: every retained program is
 //! keyed by the coverage it *contributed* when it was admitted (the
-//! bitmap diff against everything the corpus had seen before), and
+//! diff against everything the corpus had seen before), and
 //! carries per-entry productivity statistics — how often it was
 //! picked as a mutation seed and how often one of its mutants was
 //! itself admitted. Those statistics drive both scheduling and
@@ -23,9 +23,16 @@
 //! and the sequence of `select`/`observe`/`admit_foreign` calls —
 //! the determinism the sharded campaign and the cross-shard
 //! [`crate::hub::SeedHub`] build on.
+//!
+//! The corpus coverage union is a dense [`CoverageMap`]; each entry's
+//! key is a [`SparseCoverage`] holding only the nonzero words it
+//! contributed. A key is a few blocks while the bitmap spans the
+//! highest block id reached — up to 47k words on the 751-handler
+//! census — so keys sized like the union would dominate the memory,
+//! the boundary snapshots and the checkpoints.
 
 use crate::program::Program;
-use kgpt_vkernel::CoverageMap;
+use kgpt_vkernel::{CoverageMap, SparseCoverage};
 
 /// One retained seed with its coverage key and productivity stats.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +41,7 @@ pub struct CorpusEntry {
     pub program: Program,
     /// Coverage this entry contributed when admitted (its dedup key;
     /// disjoint from every earlier entry's contribution).
-    pub contributed: CoverageMap,
+    pub contributed: SparseCoverage,
     /// Times this entry was selected as a mutation seed.
     pub execs: u64,
     /// Times a mutant of this entry was itself admitted.
@@ -209,7 +216,8 @@ impl Corpus {
     /// (0 = nothing new, program dropped). Allocation-free on the
     /// nothing-new path.
     pub fn observe(&mut self, prog: Program, cov: &CoverageMap, parent: Option<usize>) -> usize {
-        if self.coverage.new_blocks_in(cov) == 0 {
+        let contributed = self.coverage.merge_diff(cov);
+        if contributed.is_empty() {
             return 0;
         }
         if let Some(p) = parent {
@@ -217,7 +225,6 @@ impl Corpus {
             self.entries[p].hits += 1;
             self.total_weight = self.total_weight - old + self.entries[p].weight();
         }
-        let contributed = self.coverage.merge_diff(cov);
         let new = contributed.len();
         self.stats.admitted += 1;
         self.push(CorpusEntry {
@@ -234,11 +241,11 @@ impl Corpus {
     /// clone keyed by the unknown part. Returns whether the seed was
     /// taken. Does not touch the selection stream, so an exchange
     /// that imports nothing leaves the corpus bit-identical.
-    pub fn admit_foreign(&mut self, prog: &Program, claimed: &CoverageMap) -> bool {
-        if self.coverage.new_blocks_in(claimed) == 0 {
+    pub fn admit_foreign(&mut self, prog: &Program, claimed: &SparseCoverage) -> bool {
+        let contributed = self.coverage.merge_diff(claimed);
+        if contributed.is_empty() {
             return false;
         }
-        let contributed = self.coverage.merge_diff(claimed);
         self.stats.imported += 1;
         self.push(CorpusEntry {
             program: prog.clone(),
@@ -360,6 +367,10 @@ mod tests {
         blocks.iter().copied().collect()
     }
 
+    fn key(blocks: &[u64]) -> SparseCoverage {
+        blocks.iter().copied().collect()
+    }
+
     fn prog() -> Program {
         Program::default()
     }
@@ -370,7 +381,7 @@ mod tests {
         assert_eq!(c.observe(prog(), &cov(&[1, 2, 3]), None), 3);
         // Overlapping execution: only the delta is the entry's key.
         assert_eq!(c.observe(prog(), &cov(&[2, 3, 4]), None), 1);
-        assert_eq!(c.entry(1).contributed, cov(&[4]));
+        assert_eq!(c.entry(1).contributed, key(&[4]));
         // Fully covered execution is dropped.
         assert_eq!(c.observe(prog(), &cov(&[1, 4]), None), 0);
         assert_eq!(c.len(), 2);
@@ -405,8 +416,8 @@ mod tests {
         c.observe(prog(), &cov(&[300]), None);
         assert_eq!(c.len(), 3);
         assert_eq!(c.stats().evicted, 1);
-        assert_eq!(c.entry(0).contributed, cov(&[1, 2, 3, 4, 5, 6, 7, 8]));
-        assert_eq!(c.entry(1).contributed, cov(&[200]));
+        assert_eq!(c.entry(0).contributed, key(&[1, 2, 3, 4, 5, 6, 7, 8]));
+        assert_eq!(c.entry(1).contributed, key(&[200]));
         // Evicted coverage is not forgotten: re-observing block 100
         // contributes nothing.
         assert_eq!(c.observe(prog(), &cov(&[100]), None), 0);
@@ -466,10 +477,10 @@ mod tests {
         c.observe(prog(), &cov(&[1, 2]), None);
         let stream_probe = c.rng.clone().next_u64();
         // Already-known claim: rejected, nothing imported.
-        assert!(!c.admit_foreign(&prog(), &cov(&[1])));
+        assert!(!c.admit_foreign(&prog(), &key(&[1])));
         // Partially new claim: retained, keyed by the unknown part.
-        assert!(c.admit_foreign(&prog(), &cov(&[2, 3])));
-        assert_eq!(c.entry(1).contributed, cov(&[3]));
+        assert!(c.admit_foreign(&prog(), &key(&[2, 3])));
+        assert_eq!(c.entry(1).contributed, key(&[3]));
         assert_eq!(c.stats().imported, 1);
         assert_eq!(
             c.rng.clone().next_u64(),

@@ -28,7 +28,8 @@
 //!   the same pure function applied in the same order.
 //!
 //! The wire encodings here reuse the [`crate::checkpoint`] framing
-//! (the same dense little-endian codec, the same per-shard layout),
+//! (the same little-endian codec, the same per-shard layout and
+//! sparse coverage keys),
 //! so a delta is literally a checkpoint fragment: anything that can
 //! round-trip through a `CampaignSnapshot` can round-trip through the
 //! fabric.
@@ -46,9 +47,9 @@ use crate::campaign::{
 };
 use crate::checkpoint::{
     config_fingerprint, decode_corpus_entry, decode_shard, decode_triage_entry,
-    encode_corpus_entry, encode_shard, encode_triage_entry, put_coverage, put_opt_str,
-    put_signature, put_str, put_u32, put_u64, put_word_diff, take_coverage, take_opt_str,
-    take_signature, take_str, take_u32, take_u64, take_u8, take_word_diff, CheckpointError,
+    encode_corpus_entry, encode_shard, encode_triage_entry, put_opt_str, put_signature, put_str,
+    put_u32, put_u64, put_word_diff, take_key, take_opt_str, take_signature, take_str, take_u32,
+    take_u64, take_u8, take_word_diff, CheckpointError, VERSION,
 };
 use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
 use crate::hub::{HubSeed, SeedHub};
@@ -56,7 +57,7 @@ use crate::program::Program;
 use crate::triage::TriageMinimizer;
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_triage::{TriageEntry, TriageReport};
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel};
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, SparseCoverage, VKernel};
 use std::sync::Arc;
 
 /// Execution budget of shard `i` in a campaign split over `shards`
@@ -119,7 +120,7 @@ impl EpochDelta {
     ///
     /// Returns a [`CheckpointError`] on any malformed field.
     pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<EpochDelta, CheckpointError> {
-        let snapshot = decode_shard(bytes, pos)?;
+        let snapshot = decode_shard(bytes, pos, VERSION)?;
         let n_candidates = take_u32(bytes, pos)? as usize;
         let mut candidates = Vec::new();
         for _ in 0..n_candidates {
@@ -229,7 +230,7 @@ pub fn decode_snapshots(
     let n = take_u32(bytes, pos)? as usize;
     let mut snaps = Vec::new();
     for _ in 0..n {
-        snaps.push(decode_shard(bytes, pos)?);
+        snaps.push(decode_shard(bytes, pos, VERSION)?);
     }
     Ok(snaps)
 }
@@ -241,7 +242,7 @@ pub fn encode_seeds(seeds: &[HubSeed], out: &mut Vec<u8>) {
     for seed in seeds {
         put_u32(out, seed.shard);
         seed.program.encode_into(out);
-        put_coverage(out, &seed.contributed);
+        seed.contributed.encode_into(out);
     }
 }
 
@@ -256,7 +257,7 @@ pub fn decode_seeds(bytes: &[u8], pos: &mut usize) -> Result<Vec<HubSeed>, Check
     for _ in 0..n {
         let shard = take_u32(bytes, pos)?;
         let program = Program::decode_from(bytes, pos)?;
-        let contributed = take_coverage(bytes, pos)?;
+        let contributed = take_key(bytes, pos, VERSION)?;
         seeds.push(HubSeed {
             shard,
             program,
@@ -601,7 +602,7 @@ impl EpochPatch {
         let n_added = take_u32(bytes, pos)? as usize;
         let mut added = Vec::new();
         for _ in 0..n_added {
-            added.push(decode_corpus_entry(bytes, pos)?);
+            added.push(decode_corpus_entry(bytes, pos, VERSION)?);
         }
         let n_crashes = take_u32(bytes, pos)? as usize;
         let mut crashes = Vec::new();
@@ -745,7 +746,7 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
                 sys,
                 args: Vec::new(),
             }]),
-            contributed: CoverageMap::from_words(words),
+            contributed: SparseCoverage::from(&CoverageMap::from_words(words)),
             execs,
             hits,
         }

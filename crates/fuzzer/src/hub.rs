@@ -24,7 +24,7 @@
 
 use crate::corpus::Corpus;
 use crate::program::Program;
-use kgpt_vkernel::CoverageMap;
+use kgpt_vkernel::{CoverageMap, SparseCoverage};
 
 /// One seed retained by the hub.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct HubSeed {
     pub program: Program,
     /// Blocks this seed claims — the part of its corpus-entry key no
     /// earlier-published seed already claimed.
-    pub contributed: CoverageMap,
+    pub contributed: SparseCoverage,
 }
 
 /// Cross-shard exchange point. See the module docs for the
@@ -129,10 +129,10 @@ impl SeedHub {
             }
             self.published += 1;
             let entry = corpus.entry(idx);
-            if self.coverage.new_blocks_in(&entry.contributed) == 0 {
+            let contributed = self.coverage.merge_diff(&entry.contributed);
+            if contributed.is_empty() {
                 continue;
             }
-            let contributed = self.coverage.merge_diff(&entry.contributed);
             self.seeds.push(HubSeed {
                 shard,
                 program: entry.program.clone(),
@@ -169,6 +169,10 @@ mod tests {
         blocks.iter().copied().collect()
     }
 
+    fn key(blocks: &[u64]) -> SparseCoverage {
+        blocks.iter().copied().collect()
+    }
+
     fn corpus_with(entries: &[&[u64]]) -> Corpus {
         let mut c = Corpus::new(64, 0);
         for blocks in entries {
@@ -187,10 +191,10 @@ mod tests {
         assert_eq!(hub.publish(1, &b), 1);
         assert_eq!(hub.seeds().len(), 2);
         assert_eq!(hub.seeds()[0].shard, 0);
-        assert_eq!(hub.seeds()[0].contributed, cov(&[1, 5]));
+        assert_eq!(hub.seeds()[0].contributed, key(&[1, 5]));
         // Shard 1's seed keeps only what shard 0 did not claim.
         assert_eq!(hub.seeds()[1].shard, 1);
-        assert_eq!(hub.seeds()[1].contributed, cov(&[9]));
+        assert_eq!(hub.seeds()[1].contributed, key(&[9]));
         assert_eq!(hub.coverage(), &cov(&[1, 5, 9]));
     }
 
@@ -222,7 +226,7 @@ mod tests {
         // The 3-block entry outweighs the single-block one.
         let a = corpus_with(&[&[1], &[10, 11, 12]]);
         assert_eq!(hub.publish(0, &a), 1);
-        assert_eq!(hub.seeds()[0].contributed, cov(&[10, 11, 12]));
+        assert_eq!(hub.seeds()[0].contributed, key(&[10, 11, 12]));
     }
 
     #[test]
@@ -287,7 +291,7 @@ mod tests {
         hub.publish(1, &b);
         // Shard 1 takes shard 0's seed for block 1 (2 is known).
         assert_eq!(hub.import_into(1, &mut b), 1);
-        assert_eq!(b.entry(1).contributed, cov(&[1]));
+        assert_eq!(b.entry(1).contributed, key(&[1]));
         assert_eq!(hub.import_into(1, &mut b), 0, "idempotent");
         // Shard 0 takes shard 1's claim on block 3.
         let mut a = a;

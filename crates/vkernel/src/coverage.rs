@@ -1,4 +1,4 @@
-//! Dense coverage bitmap.
+//! Coverage sets: the dense bitmap and the sparse corpus key.
 //!
 //! Basic-block ids are small dense integers by construction — handler
 //! `i` owns the stratum `[(i+1)·4096, (i+2)·4096)` — so a word-array
@@ -9,6 +9,25 @@
 //! for reports and serialization compatibility; iteration is lazy and
 //! ascending, so existing `BTreeSet`-shaped consumers keep working
 //! through [`Extend`]/[`FromIterator`].
+//!
+//! A bitmap is as wide as its highest block, so it only pays off where
+//! the set is dense or short-lived: the per-exec [`CoverageMap`] and
+//! the per-shard and hub unions. The *keys* a corpus entry or hub seed
+//! keeps — the blocks it contributed — are a handful of blocks that
+//! may sit millions of ids up (census handlers reach past block
+//! 3,000,000, about 47k words). They are [`SparseCoverage`]: only the
+//! nonzero words, as strictly increasing `(word index, word)` pairs.
+//! Both types expose their nonzero words through [`CoverageWords`], so
+//! [`CoverageMap::new_blocks_in`], [`CoverageMap::diff_in`] and
+//! [`CoverageMap::merge_diff`] take either with one loop.
+//!
+//! A key's checkpoint and wire encoding ([`SparseCoverage::encode_into`])
+//! is a `u32` pair count followed by `(u32 index, u64 word)` pairs.
+//! The decoder is total and canonical: it rejects a count larger than
+//! the remaining input before reserving anything, indices that are not
+//! strictly increasing or exceed [`MAX_KEY_WORD_INDEX`], and zero
+//! words, each with a named [`KeyDecodeError`], so every key has
+//! exactly one encoding.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -95,53 +114,53 @@ impl CoverageMap {
         newly
     }
 
+    /// Word `i` of the bitmap (zero past the end).
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
     /// Number of blocks in `other` not covered by `self`, without
     /// modifying either (the coverage-guided "is this input
     /// interesting" test).
     #[must_use]
-    pub fn new_blocks_in(&self, other: &CoverageMap) -> usize {
-        let mut n = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let dst = self.words.get(i).copied().unwrap_or(0);
-            n += (src & !dst).count_ones() as usize;
-        }
-        n
+    pub fn new_blocks_in(&self, other: &impl CoverageWords) -> usize {
+        other
+            .nonzero_words()
+            .map(|(i, src)| (src & !self.word(i)).count_ones() as usize)
+            .sum()
     }
 
-    /// The blocks of `other` not covered by `self`, as a new map —
-    /// the per-entry "coverage contributed" key of a corpus seed.
-    /// Allocates; guard hot paths with [`CoverageMap::new_blocks_in`]
-    /// first when the diff is usually empty.
+    /// The blocks of `other` not covered by `self`, as a sparse key —
+    /// the per-entry "coverage contributed" of a corpus seed.
     #[must_use]
-    pub fn diff_in(&self, other: &CoverageMap) -> CoverageMap {
-        let mut words = vec![0u64; other.words.len()];
-        let mut count = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let dst = self.words.get(i).copied().unwrap_or(0);
-            let add = src & !dst;
-            words[i] = add;
-            count += add.count_ones() as usize;
+    pub fn diff_in(&self, other: &impl CoverageWords) -> SparseCoverage {
+        let mut key = SparseCoverage::new();
+        for (i, src) in other.nonzero_words() {
+            key.push(i, src & !self.word(i));
         }
-        CoverageMap { words, count }
+        key
     }
 
     /// Union `other` into `self` and return the contributed delta as
-    /// its own map, in one pass. Equivalent to [`CoverageMap::diff_in`]
-    /// followed by [`CoverageMap::merge`].
-    pub fn merge_diff(&mut self, other: &CoverageMap) -> CoverageMap {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut words = vec![0u64; other.words.len()];
-        let mut count = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let add = src & !self.words[i];
-            words[i] = add;
-            count += add.count_ones() as usize;
+    /// a sparse key, in one pass over `other`'s nonzero words.
+    /// Equivalent to [`CoverageMap::diff_in`] followed by a union; an
+    /// `other` that adds nothing leaves `self` untouched and allocates
+    /// nothing.
+    pub fn merge_diff(&mut self, other: &impl CoverageWords) -> SparseCoverage {
+        let mut key = SparseCoverage::new();
+        for (i, src) in other.nonzero_words() {
+            let add = src & !self.word(i);
+            if add == 0 {
+                continue;
+            }
+            if i >= self.words.len() {
+                self.words.resize(i + 1, 0);
+            }
             self.words[i] |= add;
+            self.count += add.count_ones() as usize;
+            key.push(i, add);
         }
-        self.count += count;
-        CoverageMap { words, count }
+        key
     }
 
     /// Whether the two maps share no block.
@@ -166,13 +185,18 @@ impl CoverageMap {
         self.iter().collect()
     }
 
-    /// The raw bitmap words (bit `b` of word `w` set ⇔ block
-    /// `w * 64 + b` covered) — the checkpoint serialization view.
-    /// Trailing zero words may be present; they are representation
-    /// noise (equality ignores them) and may be dropped by writers.
+    /// The bitmap words up to the last nonzero one (bit `b` of word
+    /// `w` set ⇔ block `w * 64 + b` covered) — the checkpoint
+    /// serialization view. Trailing zero words are representation
+    /// noise and are never part of it, so equal maps have equal views.
     #[must_use]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        let len = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.words[..len]
     }
 
     /// Rebuild a map from raw bitmap words previously obtained via
@@ -392,6 +416,288 @@ impl From<&BTreeSet<u64>> for CoverageMap {
     }
 }
 
+/// A coverage set read as its nonzero bitmap words: `(word index,
+/// word)` pairs in ascending index order, where bit `b` of word `w`
+/// set ⇔ block `w * 64 + b` covered. Implemented by the dense
+/// [`CoverageMap`] (which skips its zero words) and the sparse
+/// [`SparseCoverage`] (which stores nothing else), so each set
+/// operation over either is one loop.
+pub trait CoverageWords {
+    /// The nonzero words, ascending by index.
+    fn nonzero_words(&self) -> impl Iterator<Item = (usize, u64)> + '_;
+}
+
+impl CoverageWords for CoverageMap {
+    fn nonzero_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| **w != 0)
+            .map(|(i, w)| (i, *w))
+    }
+}
+
+/// Largest word index a decoded [`SparseCoverage`] may name: block
+/// ids below 2^26, room for 16,383 handler strata of 4,096 blocks.
+/// Merging a key into a dense union grows the union to the key's
+/// highest word, so an unchecked index from a checkpoint or a frame
+/// could demand a 32 GB bitmap from a 16-byte key.
+pub const MAX_KEY_WORD_INDEX: u32 = (1 << 20) - 1;
+
+/// A coverage key: the blocks one corpus entry or hub seed
+/// contributed, stored as only its nonzero bitmap words. See the
+/// module docs for why keys are sparse and unions dense.
+///
+/// Invariant (kept by every constructor, checked by the decoder):
+/// word indices strictly increase and no stored word is zero. Each
+/// set therefore has exactly one representation, and `==` compares
+/// sets.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SparseCoverage {
+    /// `(word index, nonzero word)`, strictly increasing by index.
+    words: Vec<(u32, u64)>,
+    /// Number of set bits over all words.
+    count: usize,
+}
+
+impl SparseCoverage {
+    /// Empty key.
+    #[must_use]
+    pub fn new() -> SparseCoverage {
+        SparseCoverage::default()
+    }
+
+    /// Number of distinct blocks. O(1).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the key holds no block.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The stored `(word index, nonzero word)` pairs, strictly
+    /// increasing by index.
+    #[must_use]
+    pub fn words(&self) -> &[(u32, u64)] {
+        &self.words
+    }
+
+    /// Lazy ascending iteration over the key's block ids.
+    pub fn iter(&self) -> SparseIter<'_> {
+        SparseIter {
+            words: self.words.iter(),
+            base: 0,
+            current: 0,
+        }
+    }
+
+    /// Sorted-set view, for reports and tests.
+    #[must_use]
+    pub fn to_btree_set(&self) -> BTreeSet<u64> {
+        self.iter().collect()
+    }
+
+    /// Append word `word` at index `index`, which must exceed every
+    /// stored index; a zero word is skipped.
+    fn push(&mut self, index: usize, word: u64) {
+        if word == 0 {
+            return;
+        }
+        let index = u32::try_from(index).expect("coverage word index fits in u32");
+        debug_assert!(self.words.last().is_none_or(|&(last, _)| last < index));
+        self.words.push((index, word));
+        self.count += word.count_ones() as usize;
+    }
+
+    /// Append the key's encoding: `u32` pair count, then each pair as
+    /// `u32` word index and `u64` word, little-endian.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let n = u32::try_from(self.words.len()).expect("key word count fits in u32");
+        out.extend_from_slice(&n.to_le_bytes());
+        for &(index, word) in &self.words {
+            out.extend_from_slice(&index.to_le_bytes());
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Decode a key written by [`SparseCoverage::encode_into`] from
+    /// `bytes` at `pos`, advancing `pos` past it. Total and canonical:
+    /// any input either fails with a named error or decodes to the one
+    /// key whose encoding it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`KeyDecodeError`] when the input ends early, the
+    /// count exceeds what the remaining input can hold (checked before
+    /// anything is reserved), an index does not exceed the previous
+    /// one or exceeds [`MAX_KEY_WORD_INDEX`], or a word is zero.
+    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<SparseCoverage, KeyDecodeError> {
+        let count = u32::from_le_bytes(take_array(bytes, pos)?);
+        let remaining = bytes.len().saturating_sub(*pos);
+        if count as usize > remaining / 12 {
+            return Err(KeyDecodeError::CountExceedsInput { count, remaining });
+        }
+        let mut key = SparseCoverage {
+            words: Vec::with_capacity(count as usize),
+            count: 0,
+        };
+        for _ in 0..count {
+            let index = u32::from_le_bytes(take_array(bytes, pos)?);
+            let word = u64::from_le_bytes(take_array(bytes, pos)?);
+            if let Some(&(prev, _)) = key.words.last() {
+                if index <= prev {
+                    return Err(KeyDecodeError::UnsortedIndex { index, prev });
+                }
+            }
+            if index > MAX_KEY_WORD_INDEX {
+                return Err(KeyDecodeError::IndexOutOfRange { index });
+            }
+            if word == 0 {
+                return Err(KeyDecodeError::ZeroWord { index });
+            }
+            key.words.push((index, word));
+            key.count += word.count_ones() as usize;
+        }
+        Ok(key)
+    }
+}
+
+/// `N` bytes from `bytes` at `pos`, advancing `pos`.
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], KeyDecodeError> {
+    let at = *pos;
+    let chunk = at
+        .checked_add(N)
+        .and_then(|end| bytes.get(at..end))
+        .ok_or(KeyDecodeError::Truncated { at })?;
+    *pos = at + N;
+    Ok(chunk.try_into().expect("slice of length N"))
+}
+
+/// Why [`SparseCoverage::decode_from`] rejected its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyDecodeError {
+    /// The input ended inside the key, at byte offset `at`.
+    Truncated {
+        /// Offset of the read that ran past the end.
+        at: usize,
+    },
+    /// The pair count promises more pairs than the input holds.
+    CountExceedsInput {
+        /// The encoded pair count.
+        count: u32,
+        /// Bytes left after the count.
+        remaining: usize,
+    },
+    /// A word index does not exceed the one before it (unsorted or
+    /// duplicate).
+    UnsortedIndex {
+        /// The offending index.
+        index: u32,
+        /// The index before it.
+        prev: u32,
+    },
+    /// A word index exceeds [`MAX_KEY_WORD_INDEX`].
+    IndexOutOfRange {
+        /// The offending index.
+        index: u32,
+    },
+    /// A stored word is zero (a key lists only nonzero words).
+    ZeroWord {
+        /// Index of the zero word.
+        index: u32,
+    },
+}
+
+impl fmt::Display for KeyDecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyDecodeError::Truncated { at } => write!(f, "truncated coverage key at {at}"),
+            KeyDecodeError::CountExceedsInput { count, remaining } => write!(
+                f,
+                "coverage key count {count} exceeds the {remaining} remaining bytes"
+            ),
+            KeyDecodeError::UnsortedIndex { index, prev } => write!(
+                f,
+                "coverage key word index {index} does not follow index {prev}"
+            ),
+            KeyDecodeError::IndexOutOfRange { index } => write!(
+                f,
+                "coverage key word index {index} exceeds {MAX_KEY_WORD_INDEX}"
+            ),
+            KeyDecodeError::ZeroWord { index } => {
+                write!(f, "coverage key word {index} is zero")
+            }
+        }
+    }
+}
+
+impl std::error::Error for KeyDecodeError {}
+
+impl CoverageWords for SparseCoverage {
+    fn nonzero_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.words.iter().map(|&(i, w)| (i as usize, w))
+    }
+}
+
+impl From<&CoverageMap> for SparseCoverage {
+    fn from(map: &CoverageMap) -> SparseCoverage {
+        let mut key = SparseCoverage::new();
+        for (i, w) in map.nonzero_words() {
+            key.push(i, w);
+        }
+        key
+    }
+}
+
+/// Build a key from block ids in any order. Memory follows the number
+/// of blocks, not the highest id.
+impl FromIterator<u64> for SparseCoverage {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> SparseCoverage {
+        let mut blocks: Vec<u64> = iter.into_iter().collect();
+        blocks.sort_unstable();
+        let mut key = SparseCoverage::new();
+        for same_word in blocks.chunk_by(|a, b| a / 64 == b / 64) {
+            let word = same_word.iter().fold(0u64, |w, b| w | 1 << (b % 64));
+            let index = usize::try_from(same_word[0] / 64).expect("word index fits in usize");
+            key.push(index, word);
+        }
+        key
+    }
+}
+
+impl fmt::Debug for SparseCoverage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Lazy ascending iterator over a [`SparseCoverage`]'s block ids.
+pub struct SparseIter<'a> {
+    words: std::slice::Iter<'a, (u32, u64)>,
+    /// Block id of bit 0 of `current`.
+    base: u64,
+    current: u64,
+}
+
+impl Iterator for SparseIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.current == 0 {
+            let &(index, word) = self.words.next()?;
+            self.base = u64::from(index) * 64;
+            self.current = word;
+        }
+        let bit = self.current.trailing_zeros();
+        self.current &= self.current - 1;
+        Some(self.base + u64::from(bit))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,7 +767,7 @@ mod tests {
     fn diff_in_and_merge_diff_agree_with_set_difference() {
         let a: CoverageMap = [1u64, 2, 3, 200].into_iter().collect();
         let b: CoverageMap = [3u64, 4, 200, 9000].into_iter().collect();
-        let want: CoverageMap = [4u64, 9000].into_iter().collect();
+        let want: SparseCoverage = [4u64, 9000].into_iter().collect();
         // Non-mutating diff.
         let d = a.diff_in(&b);
         assert_eq!(d, want);
@@ -477,7 +783,14 @@ mod tests {
         // Re-merging contributes nothing.
         assert!(m.merge_diff(&b).is_empty());
         // Diff against an empty receiver is the whole input.
-        assert_eq!(CoverageMap::new().diff_in(&b), b);
+        assert_eq!(CoverageMap::new().diff_in(&b), SparseCoverage::from(&b));
+        // A sparse operand gives the same answers as its dense twin.
+        let sparse_b = SparseCoverage::from(&b);
+        assert_eq!(a.new_blocks_in(&sparse_b), 2);
+        assert_eq!(a.diff_in(&sparse_b), want);
+        let mut m2 = a.clone();
+        assert_eq!(m2.merge_diff(&sparse_b), want);
+        assert_eq!(m2, m);
     }
 
     #[test]
@@ -595,7 +908,7 @@ mod tests {
             // word diff reconstructs.
             let contributed = base.diff_in(&observed);
             let mut via_merge = base.clone();
-            via_merge.merge(&contributed);
+            via_merge.merge(&contributed.iter().collect());
             let mut via_merge_diff = base.clone();
             let contributed2 = via_merge_diff.merge_diff(&observed);
             assert_eq!(contributed, contributed2, "case {case}");
@@ -617,5 +930,80 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m, CoverageMap::new());
         assert!(m.insert(2));
+    }
+
+    #[test]
+    fn sparse_key_keeps_only_nonzero_words() {
+        // One block far up the id space: the dense diff would be
+        // 46,876 words wide, the key is one word.
+        let mut union: CoverageMap = [5u64].into_iter().collect();
+        let exec: CoverageMap = [5u64, 3_000_003].into_iter().collect();
+        let key = union.merge_diff(&exec);
+        assert_eq!(key.words(), &[(46_875, 1 << 3)]);
+        assert_eq!(key.len(), 1);
+        assert_eq!(key.iter().collect::<Vec<_>>(), vec![3_000_003]);
+        // Nothing new: no words, no allocation, union untouched.
+        let before = union.clone();
+        let none = union.merge_diff(&exec);
+        assert!(none.is_empty() && none.words.capacity() == 0);
+        assert_eq!(union, before);
+    }
+
+    #[test]
+    fn sparse_key_codec_round_trips_and_rejects_each_bad_input() {
+        let key: SparseCoverage = [0u64, 63, 64, 4096, 3_000_000, 3_000_001]
+            .into_iter()
+            .collect();
+        let mut bytes = Vec::new();
+        key.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), 4 + 12 * key.words().len());
+        let mut pos = 0;
+        assert_eq!(
+            SparseCoverage::decode_from(&bytes, &mut pos),
+            Ok(key.clone())
+        );
+        assert_eq!(pos, bytes.len());
+
+        let encode = |pairs: &[(u32, u64)], count: u32| {
+            let mut out = count.to_le_bytes().to_vec();
+            for &(i, w) in pairs {
+                out.extend_from_slice(&i.to_le_bytes());
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out
+        };
+        let decode = |bytes: &[u8]| SparseCoverage::decode_from(bytes, &mut 0);
+        assert_eq!(
+            decode(&encode(&[(3, 1), (2, 1)], 2)),
+            Err(KeyDecodeError::UnsortedIndex { index: 2, prev: 3 })
+        );
+        assert_eq!(
+            decode(&encode(&[(3, 1), (3, 2)], 2)),
+            Err(KeyDecodeError::UnsortedIndex { index: 3, prev: 3 })
+        );
+        assert_eq!(
+            decode(&encode(&[(3, 0)], 1)),
+            Err(KeyDecodeError::ZeroWord { index: 3 })
+        );
+        assert_eq!(
+            decode(&encode(&[(MAX_KEY_WORD_INDEX + 1, 1)], 1)),
+            Err(KeyDecodeError::IndexOutOfRange {
+                index: MAX_KEY_WORD_INDEX + 1
+            })
+        );
+        assert!(decode(&encode(&[(MAX_KEY_WORD_INDEX, 1)], 1)).is_ok());
+        assert_eq!(
+            decode(&encode(&[(3, 1)], u32::MAX)),
+            Err(KeyDecodeError::CountExceedsInput {
+                count: u32::MAX,
+                remaining: 12
+            })
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
     }
 }

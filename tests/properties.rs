@@ -751,3 +751,213 @@ fn program_decoder_is_total_and_canonical() {
         check_canonical(&bytes, &format!("garbage case {case}"));
     }
 }
+
+/// Sparse coverage keys at census scale (block ids past 3,000,000):
+/// the admission, hub-claim and import paths agree with a `BTreeSet`
+/// model; every key and every checkpoint that decodes re-encodes to
+/// exactly its bytes; and truncated, bit-flipped or garbage keys and
+/// snapshots fail with an error, never a panic.
+#[test]
+fn sparse_keys_match_btreeset_and_decode_canonically() {
+    use kernelgpt::csrc::{deepchain, KernelCorpus};
+    use kernelgpt::fuzzer::checkpoint::fnv1a;
+    use kernelgpt::fuzzer::{CampaignConfig, CampaignSnapshot, ShardedCampaign};
+    use kernelgpt::vkernel::{SparseCoverage, VKernel};
+
+    /// Decode `bytes` as a key; if it decodes, it must be the one
+    /// representation of its block set, and its encoding exactly the
+    /// bytes consumed.
+    fn check_key(bytes: &[u8], label: &str) {
+        let mut pos = 0;
+        if let Ok(key) = SparseCoverage::decode_from(bytes, &mut pos) {
+            let rebuilt: SparseCoverage = key.iter().collect();
+            assert_eq!(rebuilt, key, "{label}: decoded key is not canonical");
+            let mut again = Vec::new();
+            key.encode_into(&mut again);
+            assert_eq!(again, &bytes[..pos], "{label}: key decode is not canonical");
+        }
+    }
+
+    /// Random exec coverage shaped like census: a few 4096-block
+    /// handler strata, some of them past block 3,000,000.
+    fn exec_blocks(rng: &mut StdRng) -> BTreeSet<u64> {
+        let mut blocks = BTreeSet::new();
+        for _ in 0..rng.random_range(1..4u32) {
+            let handler = if rng.random_bool(0.5) {
+                rng.random_range(733..752u64)
+            } else {
+                rng.random_range(1..8u64)
+            };
+            for _ in 0..rng.random_range(1..24u32) {
+                blocks.insert(handler * 4096 + rng.random_range(0..96u64));
+            }
+        }
+        blocks
+    }
+
+    let mut keys = Vec::new();
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5A4E_5E75));
+        // Two corpora fed different executions; A's keys are then
+        // claimed against B, as a hub import would.
+        let mut corpora = [Corpus::new(64, seed), Corpus::new(64, seed + 1)];
+        let mut seen = [BTreeSet::new(), BTreeSet::new()];
+        for (corpus, seen) in corpora.iter_mut().zip(&mut seen) {
+            for _ in 0..rng.random_range(1..12u32) {
+                let blocks = exec_blocks(&mut rng);
+                let exec: CoverageMap = blocks.iter().copied().collect();
+                let want: BTreeSet<u64> = blocks.difference(seen).copied().collect();
+                let before = corpus.len();
+                assert_eq!(
+                    corpus.observe(Program::default(), &exec, None),
+                    want.len(),
+                    "seed {seed}"
+                );
+                seen.extend(&want);
+                if !want.is_empty() {
+                    let key = &corpus.entry(before).contributed;
+                    assert_eq!(key.to_btree_set(), want, "seed {seed}: observe key");
+                    assert_eq!(key.len(), want.len(), "seed {seed}");
+                    assert!(
+                        key.words().windows(2).all(|w| w[0].0 < w[1].0)
+                            && key.words().iter().all(|&(_, w)| w != 0),
+                        "seed {seed}: key not canonical"
+                    );
+                }
+                assert_eq!(corpus.coverage().to_btree_set(), *seen, "seed {seed}");
+            }
+        }
+        let [a, mut b] = corpora;
+        let [_, mut seen_b] = seen;
+        for i in 0..a.len() {
+            let claim = &a.entry(i).contributed;
+            let want: BTreeSet<u64> = claim.to_btree_set().difference(&seen_b).copied().collect();
+            assert_eq!(b.coverage().new_blocks_in(claim), want.len(), "seed {seed}");
+            assert_eq!(
+                b.coverage().diff_in(claim).to_btree_set(),
+                want,
+                "seed {seed}"
+            );
+            let before = b.len();
+            assert_eq!(
+                b.admit_foreign(&Program::default(), claim),
+                !want.is_empty(),
+                "seed {seed}: admit_foreign"
+            );
+            if !want.is_empty() {
+                assert_eq!(
+                    b.entry(before).contributed.to_btree_set(),
+                    want,
+                    "seed {seed}"
+                );
+            }
+            seen_b.extend(&want);
+            assert_eq!(b.coverage().to_btree_set(), seen_b, "seed {seed}");
+            keys.push(claim.clone());
+        }
+    }
+
+    // Key codec: exact round trip, then corruptions.
+    let mut rng = StdRng::seed_from_u64(0x6E75);
+    for (k, key) in keys.iter().enumerate() {
+        let mut bytes = Vec::new();
+        key.encode_into(&mut bytes);
+        let mut pos = 0;
+        assert_eq!(
+            SparseCoverage::decode_from(&bytes, &mut pos).as_ref(),
+            Ok(key)
+        );
+        assert_eq!(pos, bytes.len(), "key {k}");
+        for cut in 0..bytes.len() {
+            assert!(
+                SparseCoverage::decode_from(&bytes[..cut], &mut 0).is_err(),
+                "key {k}: a {cut}-byte prefix decoded"
+            );
+        }
+        for _ in 0..16 {
+            let at = rng.random_range(0..bytes.len());
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << rng.random_range(0..8u32);
+            check_key(&bad, &format!("key {k} flip at {at}"));
+        }
+    }
+    for case in 0..512u32 {
+        let len = rng.random_range(0..64usize);
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|_| rng.random_range(0..=255u32) as u8)
+            .collect();
+        if len >= 4 && rng.random_bool(0.5) {
+            bytes[..4].copy_from_slice(&rng.random_range(0..5u32).to_le_bytes());
+        }
+        check_key(&bytes, &format!("garbage key {case}"));
+    }
+
+    // Checkpoint codec, on a real snapshot: a deep-chain campaign
+    // halted after its first boundary.
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let suite: Vec<_> = kc
+        .blueprints()
+        .iter()
+        .map(|bp| bp.ground_truth_spec())
+        .collect();
+    let kernel = VKernel::boot(deepchain::suite());
+    let config = CampaignConfig {
+        execs: 400,
+        seed: 3,
+        max_prog_len: 6,
+        hub_epoch: 50,
+        hub_top_k: 2,
+        ..CampaignConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("kgpt-properties-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("sparse.ckpt");
+    let _ = ShardedCampaign::new(&kernel, &suite, kc.consts(), config)
+        .with_shards(4)
+        .with_checkpoint(&path)
+        .with_halt_after(1)
+        .run();
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let snap = CampaignSnapshot::from_bytes(&bytes).expect("snapshot decodes");
+    assert_eq!(snap.to_bytes(), bytes, "snapshot encoding is not canonical");
+
+    let check_snapshot = |bytes: &[u8], label: &str| {
+        if let Ok(snap) = CampaignSnapshot::from_bytes(bytes) {
+            assert_eq!(snap.to_bytes(), bytes, "{label}: decode is not canonical");
+        }
+    };
+    // The 20-byte header is magic, version and the payload checksum;
+    // payload corruptions are resealed so they reach the decoder.
+    let reseal = |bytes: &mut Vec<u8>| {
+        let sum = fnv1a(&bytes[20..]);
+        bytes[12..20].copy_from_slice(&sum.to_le_bytes());
+    };
+    for k in 0..64 {
+        let cut = k * bytes.len() / 64;
+        let mut short = bytes[..cut].to_vec();
+        if cut >= 20 {
+            reseal(&mut short);
+        }
+        assert!(
+            CampaignSnapshot::from_bytes(&short).is_err(),
+            "a {cut}-byte prefix decoded"
+        );
+    }
+    for _ in 0..256 {
+        let at = rng.random_range(20..bytes.len());
+        let mut bad = bytes.clone();
+        bad[at] ^= 1 << rng.random_range(0..8u32);
+        reseal(&mut bad);
+        check_snapshot(&bad, &format!("snapshot flip at {at}"));
+    }
+    for case in 0..64u32 {
+        let len = rng.random_range(20..256usize);
+        let mut garbage: Vec<u8> = (0..len)
+            .map(|_| rng.random_range(0..=255u32) as u8)
+            .collect();
+        garbage[..12].copy_from_slice(&bytes[..12]);
+        reseal(&mut garbage);
+        check_snapshot(&garbage, &format!("garbage snapshot {case}"));
+    }
+}
